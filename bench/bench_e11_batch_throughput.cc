@@ -1,7 +1,7 @@
-// E11 — batch sketching and sharded-index query throughput vs thread count.
+// E11 — batch sketching and index query throughput vs thread count.
 //
 // Not a paper experiment: this measures the parallel execution subsystem
-// (ThreadPool + BatchSketcher + sharded SketchIndex) that amortizes the
+// (ThreadPool + BatchSketcher + block-parallel SketchIndex) that amortizes the
 // paper's O(s nnz + k) per-vector cost across cores. Google Benchmark's
 // items_per_second counter reports vectors/sec (batch cases) or stored
 // sketches scanned per second (query case); sweep the Arg to read the
@@ -86,7 +86,7 @@ void BM_ShardedIndexNearestNeighbors(benchmark::State& state) {
   const int64_t corpus = 2048;
   const PrivateSketcher sketcher = MakeSketcher(d);
   Rng rng(kSeed);
-  SketchIndex index(64);
+  SketchIndex index;
   {
     // Build the corpus through the batch path so setup scales too.
     ThreadPool build_pool(ThreadPool::DefaultThreadCount());

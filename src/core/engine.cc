@@ -133,10 +133,9 @@ Result<EngineOptions> EngineOptions::Parse(
       "epsilon",        "delta",         "alpha",
       "beta",           "seed",          "transform",
       "k-override",     "s-override",    "noise",
-      "placement",      "threads",       "shards",
-      "serving-threads", "queue-capacity", "tenant-quota",
-      "tenant-rate",    "deadline-ms",     "starvation-age-ms",
-      "batch-grain"};
+      "placement",      "threads",       "serving-threads",
+      "queue-capacity", "tenant-quota",  "tenant-rate",
+      "deadline-ms",    "starvation-age-ms", "batch-grain"};
   for (const auto& entry : flags) {
     if (kRecognized.count(entry.first) == 0 &&
         std::find(passthrough.begin(), passthrough.end(), entry.first) ==
@@ -192,11 +191,6 @@ Result<EngineOptions> EngineOptions::Parse(
                           ParseIntFlag("threads", *raw, 0, 4096));
     options.threads = static_cast<int>(threads);
   }
-  if (const std::string* raw = find("shards")) {
-    DPJL_ASSIGN_OR_RETURN(const int64_t shards,
-                          ParseIntFlag("shards", *raw, 1, 65536));
-    options.num_shards = static_cast<int>(shards);
-  }
   if (const std::string* raw = find("serving-threads")) {
     DPJL_ASSIGN_OR_RETURN(const int64_t serving,
                           ParseIntFlag("serving-threads", *raw, 1, 256));
@@ -246,7 +240,7 @@ std::string EngineOptions::ToString() const {
       << " --noise=" << NoiseFlagName(sketcher.noise_selection)
       << " --placement=" << PlacementFlagName(sketcher.placement)
       << " --seed=" << sketcher.projection_seed << " --threads=" << threads
-      << " --shards=" << num_shards << " --serving-threads=" << serving_threads
+      << " --serving-threads=" << serving_threads
       << " --queue-capacity=" << queue_capacity
       << " --tenant-quota=" << tenant_quota
       << " --tenant-rate=" << tenant_rate
@@ -260,9 +254,6 @@ Status EngineOptions::Validate() const {
   if (threads < 0 || threads > 4096) {
     return Status::InvalidArgument(
         "threads must lie in [0, 4096] (0 = all hardware cores)");
-  }
-  if (num_shards < 1 || num_shards > 65536) {
-    return Status::InvalidArgument("shards must lie in [1, 65536]");
   }
   if (serving_threads < 1 || serving_threads > 256) {
     return Status::InvalidArgument("serving-threads must lie in [1, 256]");
@@ -299,15 +290,13 @@ Result<std::unique_ptr<Engine>> Engine::Create(int64_t d,
   DPJL_RETURN_IF_ERROR(options.Validate());
   DPJL_ASSIGN_OR_RETURN(PrivateSketcher sketcher,
                         PrivateSketcher::Create(d, options.sketcher));
-  return std::unique_ptr<Engine>(new Engine(options, std::move(sketcher),
-                                            SketchIndex(options.num_shards)));
+  return std::unique_ptr<Engine>(
+      new Engine(options, std::move(sketcher), SketchIndex()));
 }
 
 Result<std::unique_ptr<Engine>> Engine::FromIndex(SketchIndex index,
                                                   const EngineOptions& options) {
   DPJL_RETURN_IF_ERROR(options.Validate());
-  // The adopted index keeps its own shard layout; options.num_shards only
-  // governs indexes the engine creates itself.
   return std::unique_ptr<Engine>(
       new Engine(options, std::nullopt, std::move(index)));
 }
@@ -446,17 +435,16 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
   if (cancel.Cancelled()) {
     return Status::Cancelled("query cancelled before its partition fan-out");
   }
-  if (partitions_.empty()) return index_.NearestNeighbors(query, top_n, pool);
   // The per-partition scans repeat this check; it runs here first so the
   // gather heap below is never constructed with an invalid bound.
   if (top_n < 1) {
     return Status::InvalidArgument("top_n must be >= 1");
   }
   // Scatter: the owned index and each partition produce their own top_n
-  // (each a blocked arena scan, pool-parallel across its shards in turn).
+  // (each a blocked arena scan, pool-parallel across its blocks in turn).
   // The global top_n is contained in the union of the per-partition top_n
   // lists, so gathering them through the same deterministic (distance, id)
-  // bounded top-k the shard scans use is byte-identical to scanning one
+  // bounded top-k the arena scans use is byte-identical to scanning one
   // merged index. The cancel token is polled between partition scans: a
   // cancelled caller stops paying for the rest of the fan-out instead of
   // completing a result nobody reads.
@@ -488,7 +476,6 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQueryLocked(
   if (cancel.Cancelled()) {
     return Status::Cancelled("query cancelled before its partition fan-out");
   }
-  if (partitions_.empty()) return index_.RangeQuery(query, radius_sq, pool);
   std::vector<SketchIndex::Neighbor> all;
   const auto scatter = [&](const SketchIndex& part) -> Status {
     if (cancel.Cancelled()) {
@@ -496,7 +483,8 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQueryLocked(
     }
     auto partial = part.RangeQuery(query, radius_sq, pool);
     if (!partial.ok()) return partial.status();
-    all.insert(all.end(), partial->begin(), partial->end());
+    all.insert(all.end(), std::make_move_iterator(partial->begin()),
+               std::make_move_iterator(partial->end()));
     return Status::OK();
   };
   DPJL_RETURN_IF_ERROR(scatter(index_));
@@ -581,27 +569,18 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQuery(
 
 Result<SketchIndex::DistanceMatrix> Engine::AllPairsDistances() const {
   ReaderLock lock(index_mutex_);
-  if (partitions_.empty()) return index_.AllPairsDistances(pool_.get());
-  // Flatten the corpus (owned index, then partitions in attach order) and
-  // run the exact computation core the monolithic index uses; the result
-  // equals the merged index's matrix entry for entry.
-  std::vector<std::string> ids;
-  std::vector<const PrivateSketch*> sketches;
-  const auto flatten = [&](const SketchIndex& part) {
-    for (const std::string& id : part.ids()) {
-      ids.push_back(id);
-      sketches.push_back(part.Find(id));
-    }
-  };
-  flatten(index_);
-  for (const auto& partition : partitions_) flatten(partition.second);
-  return SketchIndex::ComputeAllPairs(std::move(ids), sketches, pool_.get());
+  // The corpus is the owned index, then the partitions in attach order;
+  // the segmented matrix equals the merged index's entry for entry.
+  std::vector<const SketchIndex*> segments{&index_};
+  for (const auto& partition : partitions_) {
+    segments.push_back(&partition.second);
+  }
+  return SketchIndex::AllPairsAcross(segments, pool_.get());
 }
 
 Result<double> Engine::SquaredDistance(const std::string& id_a,
                                        const std::string& id_b) const {
   ReaderLock lock(index_mutex_);
-  if (partitions_.empty()) return index_.SquaredDistance(id_a, id_b);
   const PrivateSketch* a = FindLocked(id_a);
   const PrivateSketch* b = FindLocked(id_b);
   if (a == nullptr || b == nullptr) {
@@ -634,16 +613,6 @@ RequestQueue::Clock::time_point Engine::DeadlineFor(int64_t deadline_ms) const {
   return now + std::chrono::milliseconds(ms);
 }
 
-namespace {
-
-RequestOptions WithDeadline(int64_t deadline_ms) {
-  RequestOptions options;
-  options.deadline_ms = deadline_ms;
-  return options;
-}
-
-}  // namespace
-
 EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
                                                  uint64_t noise_seed,
                                                  const RequestOptions& request) {
@@ -659,12 +628,6 @@ EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
       request);
 }
 
-EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
-                                                 uint64_t noise_seed,
-                                                 int64_t deadline_ms) {
-  return SubmitSketch(std::move(x), noise_seed, WithDeadline(deadline_ms));
-}
-
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
     PrivateSketch query, int64_t top_n, const RequestOptions& request) {
   return Submit<std::vector<SketchIndex::Neighbor>>(
@@ -673,11 +636,6 @@ EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
         return NearestNeighborsLocked(query, top_n, pool_.get(), cancel);
       },
       request);
-}
-
-EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
-    PrivateSketch query, int64_t top_n, int64_t deadline_ms) {
-  return SubmitQuery(std::move(query), top_n, WithDeadline(deadline_ms));
 }
 
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitRangeQuery(
@@ -697,7 +655,7 @@ Engine::SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
       [this, queries = std::move(queries), top_n](const CancelToken& cancel)
           -> Result<std::vector<std::vector<SketchIndex::Neighbor>>> {
         // One read-lock acquisition for the whole batch; probes fan across
-        // the pool with the deterministic chunking. Each probe's shard
+        // the pool with the deterministic chunking. Each probe's arena
         // scan runs serially (no nested ParallelFor) — by the index's
         // determinism contract the result is byte-identical to the
         // pool-parallel scan a lone SubmitQuery performs. The cancel token
@@ -734,12 +692,6 @@ EngineFuture<double> Engine::SubmitEstimate(std::string id_a, std::string id_b,
       request);
 }
 
-EngineFuture<double> Engine::SubmitEstimate(std::string id_a, std::string id_b,
-                                            int64_t deadline_ms) {
-  return SubmitEstimate(std::move(id_a), std::move(id_b),
-                        WithDeadline(deadline_ms));
-}
-
 EngineFuture<bool> Engine::SubmitTask(std::function<Status()> task,
                                       const RequestOptions& request) {
   return Submit<bool>(
@@ -749,11 +701,6 @@ EngineFuture<bool> Engine::SubmitTask(std::function<Status()> task,
         return true;
       },
       request);
-}
-
-EngineFuture<bool> Engine::SubmitTask(std::function<Status()> task,
-                                      int64_t deadline_ms) {
-  return SubmitTask(std::move(task), WithDeadline(deadline_ms));
 }
 
 EngineFuture<bool> Engine::SubmitTask(

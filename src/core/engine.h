@@ -26,7 +26,7 @@
 namespace dpjl {
 
 /// Everything an Engine needs, in one struct: the sketcher construction,
-/// the threading/sharding layout, and the serving policy. This is the one
+/// the threading layout, and the serving policy. This is the one
 /// config path shared by dpjl_tool, the examples and the tests — `Parse`
 /// consumes the CLI's `--key value` flag map and `ToString` emits the
 /// canonical flag form, so there is exactly one place flag names and
@@ -36,15 +36,12 @@ struct EngineOptions {
   /// public projection seed).
   SketcherConfig sketcher;
 
-  /// ThreadPool size for batch sketching and shard-parallel queries:
+  /// ThreadPool size for batch sketching and block-parallel queries:
   /// 0 = hardware concurrency, 1 = fully serial (no pool at all).
   int threads = 1;
 
-  /// Shard count of the owned SketchIndex.
-  int num_shards = SketchIndex::kDefaultShards;
-
   /// Threads draining the async request queue. Each can independently run
-  /// shard-parallel queries on the shared pool.
+  /// block-parallel queries on the shared pool.
   int serving_threads = 2;
 
   /// Bound on queued (admitted but not yet served) async requests; beyond
@@ -83,7 +80,7 @@ struct EngineOptions {
 
   /// Parses the recognized keys out of a `--key value` flag map (the form
   /// dpjl_tool already builds): epsilon, delta, alpha, beta, seed,
-  /// transform, k-override, s-override, noise, placement, threads, shards,
+  /// transform, k-override, s-override, noise, placement, threads,
   /// serving-threads, queue-capacity, tenant-quota, tenant-rate,
   /// deadline-ms, starvation-age-ms, batch-grain. A key
   /// that is neither recognized nor listed in `passthrough` is an error
@@ -246,8 +243,8 @@ struct EngineStats {
 ///
 /// Determinism contract (inherited from the layers below): every engine
 /// query, sync or async, returns byte-identical results to the direct
-/// SketchIndex/estimator call, for any `threads`, `num_shards` and
-/// `serving_threads` — the engine adds scheduling, never different math.
+/// SketchIndex/estimator call, for any `threads` and `serving_threads` —
+/// the engine adds scheduling, never different math.
 ///
 /// Thread safety: the whole public API is safe to call concurrently.
 /// `Insert`/`InsertBatch` take the write side of an index lock; queries
@@ -260,7 +257,7 @@ struct EngineStats {
 /// corpus. Queries scatter across the engine-owned index and every
 /// attached partition and merge the partial results by the deterministic
 /// (distance, id) order, so results are byte-identical to querying one
-/// merged index — at any partition count, shard count or thread count.
+/// merged index — at any partition count or thread count.
 /// Attach/Detach take the same write lock Insert does; in-flight queries
 /// always see a consistent partition set.
 class Engine {
@@ -368,10 +365,10 @@ class Engine {
 
   // --- asynchronous API ---
   //
-  // Each Submit* enqueues the request and returns immediately. Every
-  // overload accepts a `RequestOptions` (priority lane, tenant, deadline
-  // budget); the deadline-only overloads forward with default options and
-  // exist so pre-RequestOptions callers keep compiling unchanged.
+  // Each Submit* enqueues the request and returns immediately. Every one
+  // takes an optional `RequestOptions` (priority lane, tenant, deadline
+  // budget); omitting it means the default lane, no tenant and
+  // options().default_deadline_ms.
   //
   // `RequestOptions::deadline_ms` is this request's budget from
   // submission: > 0 sets a deadline, kNoDeadline (0) disables it,
@@ -391,16 +388,10 @@ class Engine {
 
   EngineFuture<PrivateSketch> SubmitSketch(std::vector<double> x,
                                            uint64_t noise_seed,
-                                           const RequestOptions& request);
-  EngineFuture<PrivateSketch> SubmitSketch(std::vector<double> x,
-                                           uint64_t noise_seed,
-                                           int64_t deadline_ms = kDefaultDeadline);
+                                           const RequestOptions& request = {});
 
   EngineFuture<std::vector<SketchIndex::Neighbor>> SubmitQuery(
-      PrivateSketch query, int64_t top_n, const RequestOptions& request);
-  EngineFuture<std::vector<SketchIndex::Neighbor>> SubmitQuery(
-      PrivateSketch query, int64_t top_n,
-      int64_t deadline_ms = kDefaultDeadline);
+      PrivateSketch query, int64_t top_n, const RequestOptions& request = {});
 
   /// Async RangeQuery under the same lane/deadline/cancellation semantics
   /// as SubmitQuery — the overload the wire server drains range RPCs
@@ -420,25 +411,21 @@ class Engine {
 
   /// Squared-distance estimate between two stored ids (kNotFound if absent).
   EngineFuture<double> SubmitEstimate(std::string id_a, std::string id_b,
-                                      const RequestOptions& request);
-  EngineFuture<double> SubmitEstimate(std::string id_a, std::string id_b,
-                                      int64_t deadline_ms = kDefaultDeadline);
+                                      const RequestOptions& request = {});
 
   /// Runs an arbitrary task on a serving thread under the same deadline and
   /// admission semantics; the future resolves to true on OK. Escape hatch
   /// for work that should share the serving lanes (snapshots, warmup) and
   /// the lever the concurrency tests use to hold a lane deterministically.
   EngineFuture<bool> SubmitTask(std::function<Status()> task,
-                                const RequestOptions& request);
-  EngineFuture<bool> SubmitTask(std::function<Status()> task,
-                                int64_t deadline_ms = kDefaultDeadline);
+                                const RequestOptions& request = {});
 
   /// Cancellation-aware SubmitTask: the task receives the future's
   /// CancelToken and is expected to poll it, returning `kCancelled` when it
   /// observes a raised flag. The deterministic lever the cancellation tests
   /// use, and the shape for any long caller-supplied work.
   EngineFuture<bool> SubmitTask(std::function<Status(const CancelToken&)> task,
-                                const RequestOptions& request);
+                                const RequestOptions& request = {});
 
   /// Observability snapshot: per-lane depth/served/expired/refused/
   /// cancelled counters, total deadline misses, per-tenant usage, index

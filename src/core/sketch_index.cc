@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
@@ -12,9 +11,14 @@ namespace dpjl {
 
 namespace {
 
-/// Pre-envelope ("v0") snapshot magic; still accepted by Deserialize's
-/// legacy path, never written anymore.
-constexpr char kLegacyIndexMagic[8] = {'D', 'P', 'J', 'L', 'I', 'X', '0', '1'};
+/// Arena blocks (of kSketchBlockWidth sketches) per pool task in
+/// pool-parallel scans: a fixed grain, so task boundaries depend on the
+/// corpus alone, never on the pool.
+constexpr int64_t kScanGrainBlocks = 16;
+
+using TopK = BoundedTopK<SketchIndex::Neighbor,
+                         bool (*)(const SketchIndex::Neighbor&,
+                                  const SketchIndex::Neighbor&)>;
 
 void AppendU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -42,34 +46,14 @@ bool SketchIndex::NeighborLess(const Neighbor& a, const Neighbor& b) {
   return a.id < b.id;
 }
 
-SketchIndex::SketchIndex(int num_shards)
-    : shards_(static_cast<size_t>(std::max(1, num_shards))) {}
-
-size_t SketchIndex::ShardOf(const std::string& id) const {
-  return std::hash<std::string>{}(id) % shards_.size();
-}
-
-void SketchIndex::ForEachShard(
-    ThreadPool* pool, const std::function<void(size_t)>& scan) const {
-  ThreadPool::Run(pool, 0, static_cast<int64_t>(shards_.size()), 1,
-                  [&scan](int64_t begin, int64_t end) {
-                    for (int64_t i = begin; i < end; ++i) {
-                      scan(static_cast<size_t>(i));
-                    }
-                  });
-}
-
 Status SketchIndex::Add(std::string id, PrivateSketch sketch) {
-  Shard& shard = shards_[ShardOf(id)];
-  if (shard.by_id.count(id) > 0) {
+  if (ordinals_.count(id) > 0) {
     return Status::InvalidArgument("duplicate sketch id: " + id);
   }
-  if (!order_.empty()) {
-    const PrivateSketch& first = *Find(order_.front());
-    if (!first.metadata().CompatibleWith(sketch.metadata())) {
-      return Status::FailedPrecondition(
-          "sketch is incompatible with the index's projection");
-    }
+  if (!sketches_.empty() &&
+      !sketches_.front().metadata().CompatibleWith(sketch.metadata())) {
+    return Status::FailedPrecondition(
+        "sketch is incompatible with the index's projection");
   }
   AppendEntry(std::move(id), std::move(sketch));
   return Status::OK();
@@ -99,16 +83,19 @@ void SketchIndex::SketchArena::Append(const PrivateSketch& sketch) {
   ++count;
 }
 
+int64_t SketchIndex::SketchArena::blocks() const {
+  return (count + kSketchBlockWidth - 1) / kSketchBlockWidth;
+}
+
 const double* SketchIndex::SketchArena::BlockAt(int64_t block) const {
   return values.data() + block * dim * kSketchBlockWidth;
 }
 
 void SketchIndex::AppendEntry(std::string id, PrivateSketch sketch) {
-  Shard& shard = shards_[ShardOf(id)];
-  order_.push_back(id);
-  shard.by_id.emplace(id, shard.entries.size());
-  shard.arena.Append(sketch);
-  shard.entries.push_back(Entry{std::move(id), std::move(sketch)});
+  ordinals_.emplace(id, ids_.size());
+  ids_.push_back(std::move(id));
+  arena_.Append(sketch);
+  sketches_.push_back(std::move(sketch));
 }
 
 Status SketchIndex::AddBatch(
@@ -117,9 +104,9 @@ Status SketchIndex::AddBatch(
   // One reference metadata for the whole batch: the projection already
   // stored, or the batch's own first sketch on an empty index. Every item
   // checks against it once — no per-insert rescan of the stored state.
-  const SketchMetadata& reference = order_.empty()
+  const SketchMetadata& reference = sketches_.empty()
                                         ? items.front().second.metadata()
-                                        : Find(order_.front())->metadata();
+                                        : sketches_.front().metadata();
   std::unordered_map<std::string, size_t> batch_ids;
   batch_ids.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -127,7 +114,7 @@ Status SketchIndex::AddBatch(
     if (!batch_ids.emplace(id, i).second) {
       return Status::InvalidArgument("duplicate sketch id in batch: " + id);
     }
-    if (shards_[ShardOf(id)].by_id.count(id) > 0) {
+    if (ordinals_.count(id) > 0) {
       return Status::InvalidArgument("duplicate sketch id: " + id);
     }
     if (!reference.CompatibleWith(items[i].second.metadata())) {
@@ -137,7 +124,7 @@ Status SketchIndex::AddBatch(
     }
   }
   // Validated: commit the whole batch (no fallible step below).
-  order_.reserve(order_.size() + items.size());
+  ids_.reserve(ids_.size() + items.size());
   for (auto& item : items) {
     AppendEntry(std::move(item.first), std::move(item.second));
   }
@@ -145,9 +132,8 @@ Status SketchIndex::AddBatch(
 }
 
 const PrivateSketch* SketchIndex::Find(const std::string& id) const {
-  const Shard& shard = shards_[ShardOf(id)];
-  auto it = shard.by_id.find(id);
-  return it == shard.by_id.end() ? nullptr : &shard.entries[it->second].sketch;
+  auto it = ordinals_.find(id);
+  return it == ordinals_.end() ? nullptr : &sketches_[it->second];
 }
 
 Result<double> SketchIndex::SquaredDistance(const std::string& id_a,
@@ -161,8 +147,8 @@ Result<double> SketchIndex::SquaredDistance(const std::string& id_a,
 }
 
 Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
-  if (order_.empty()) return Status::OK();
-  if (!Find(order_.front())->metadata().CompatibleWith(query.metadata())) {
+  if (sketches_.empty()) return Status::OK();
+  if (!sketches_.front().metadata().CompatibleWith(query.metadata())) {
     // The exact message the per-pair estimator returns: one up-front check
     // replaces its per-entry checks without changing the error surface
     // (stored sketches are mutually compatible by the Add invariant).
@@ -172,36 +158,44 @@ Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
   return Status::OK();
 }
 
-std::vector<SketchIndex::Neighbor> SketchIndex::ScanShardTopK(
-    const Shard& shard, const PrivateSketch& query, int64_t top_n) const {
-  const SketchArena& arena = shard.arena;
-  BoundedTopK<Neighbor, bool (*)(const Neighbor&, const Neighbor&)> topk(
-      top_n, NeighborLess);
-  topk.Reserve(arena.count);
+template <typename Visit>
+void SketchIndex::ScanBlocks(const PrivateSketch& query, int64_t block_begin,
+                             int64_t block_end, Visit&& visit) const {
   const double* q = query.values().data();
   const double query_center = query.metadata().noise_center;
   double dist[kSketchBlockWidth];
-  for (int64_t base = 0; base < arena.count; base += kSketchBlockWidth) {
+  for (int64_t b = block_begin; b < block_end; ++b) {
+    const int64_t base = b * kSketchBlockWidth;
     const int64_t width =
-        std::min<int64_t>(kSketchBlockWidth, arena.count - base);
-    EstimateSquaredDistanceBlock(q, arena.dim, query_center,
-                                 arena.BlockAt(base / kSketchBlockWidth),
-                                 arena.noise_centers.data() + base, width,
+        std::min<int64_t>(kSketchBlockWidth, arena_.count - base);
+    EstimateSquaredDistanceBlock(q, arena_.dim, query_center,
+                                 arena_.BlockAt(b),
+                                 arena_.noise_centers.data() + base, width,
                                  dist);
     for (int64_t t = 0; t < width; ++t) {
-      const Entry& e = shard.entries[static_cast<size_t>(base + t)];
-      if (topk.Full()) {
-        // Reject without copying the id unless the candidate NeighborLess-
-        // beats the current worst survivor.
-        const Neighbor& worst = topk.Worst();
-        if (dist[t] > worst.squared_distance ||
-            (dist[t] == worst.squared_distance && e.id >= worst.id)) {
-          continue;
-        }
-      }
-      topk.Push(Neighbor{e.id, dist[t]});
+      visit(static_cast<size_t>(base + t), dist[t]);
     }
   }
+}
+
+std::vector<SketchIndex::Neighbor> SketchIndex::ScanTopK(
+    const PrivateSketch& query, int64_t top_n, int64_t block_begin,
+    int64_t block_end) const {
+  TopK topk(top_n, NeighborLess);
+  topk.Reserve((block_end - block_begin) * kSketchBlockWidth);
+  ScanBlocks(query, block_begin, block_end, [&](size_t ordinal, double dist) {
+    const std::string& id = ids_[ordinal];
+    if (topk.Full()) {
+      // Reject without copying the id unless the candidate NeighborLess-
+      // beats the current worst survivor.
+      const Neighbor& worst = topk.Worst();
+      if (dist > worst.squared_distance ||
+          (dist == worst.squared_distance && id >= worst.id)) {
+        return;
+      }
+    }
+    topk.Push(Neighbor{id, dist});
+  });
   return topk.TakeSorted();
 }
 
@@ -211,24 +205,26 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
     return Status::InvalidArgument("top_n must be >= 1");
   }
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
-  // Blocked arena scan per shard, each keeping its own bounded top_n; the
-  // merge below imposes the deterministic (distance, id) total order, so
-  // neither shard layout nor scheduling can show through in the result.
-  // The global top_n is contained in the union of per-shard top_n sets, so
-  // this equals sorting every distance and truncating.
-  std::vector<std::vector<Neighbor>> partial(shards_.size());
-  ForEachShard(pool, [&](size_t s) {
-    partial[s] = ScanShardTopK(shards_[s], query, top_n);
-  });
-  std::vector<Neighbor> all;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    all.insert(all.end(), std::make_move_iterator(partial[s].begin()),
-               std::make_move_iterator(partial[s].end()));
+  const int64_t blocks = arena_.blocks();
+  if (pool == nullptr || blocks <= kScanGrainBlocks) {
+    return ScanTopK(query, top_n, 0, blocks);
   }
-  std::sort(all.begin(), all.end(), NeighborLess);
-  const auto keep = std::min<int64_t>(top_n, static_cast<int64_t>(all.size()));
-  all.resize(static_cast<size_t>(keep));
-  return all;
+  // Each fixed-grain block range keeps its own bounded top_n. The global
+  // top_n is contained in their union, and the merge imposes the
+  // deterministic (distance, id) total order, so neither the pool nor the
+  // scheduling can show through in the result.
+  std::vector<std::vector<Neighbor>> partial(static_cast<size_t>(
+      (blocks + kScanGrainBlocks - 1) / kScanGrainBlocks));
+  ThreadPool::Run(pool, 0, blocks, kScanGrainBlocks,
+                  [&](int64_t begin, int64_t end) {
+                    partial[static_cast<size_t>(begin / kScanGrainBlocks)] =
+                        ScanTopK(query, top_n, begin, end);
+                  });
+  TopK merged(top_n, NeighborLess);
+  for (std::vector<Neighbor>& part : partial) {
+    for (Neighbor& neighbor : part) merged.Push(std::move(neighbor));
+  }
+  return merged.TakeSorted();
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
@@ -237,128 +233,110 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
     return Status::InvalidArgument("radius must be non-negative");
   }
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
-  const double* q = query.values().data();
-  const double query_center = query.metadata().noise_center;
-  std::vector<std::vector<Neighbor>> partial(shards_.size());
-  ForEachShard(pool, [&](size_t s) {
-    const Shard& shard = shards_[s];
-    const SketchArena& arena = shard.arena;
-    double dist[kSketchBlockWidth];
-    for (int64_t base = 0; base < arena.count; base += kSketchBlockWidth) {
-      const int64_t width =
-          std::min<int64_t>(kSketchBlockWidth, arena.count - base);
-      EstimateSquaredDistanceBlock(q, arena.dim, query_center,
-                                   arena.BlockAt(base / kSketchBlockWidth),
-                                   arena.noise_centers.data() + base, width,
-                                   dist);
-      for (int64_t t = 0; t < width; ++t) {
-        if (dist[t] <= radius_sq) {
-          partial[s].push_back(
-              Neighbor{shard.entries[static_cast<size_t>(base + t)].id,
-                       dist[t]});
-        }
-      }
-    }
-  });
+  // Hits per fixed-grain block range, concatenated in range order and then
+  // sorted: with or without a pool the sort sees the same multiset.
+  const int64_t blocks = arena_.blocks();
+  std::vector<std::vector<Neighbor>> partial(static_cast<size_t>(
+      (blocks + kScanGrainBlocks - 1) / kScanGrainBlocks));
+  ThreadPool::Run(
+      pool, 0, blocks, kScanGrainBlocks, [&](int64_t begin, int64_t end) {
+        std::vector<Neighbor>& hits =
+            partial[static_cast<size_t>(begin / kScanGrainBlocks)];
+        ScanBlocks(query, begin, end, [&](size_t ordinal, double dist) {
+          if (dist <= radius_sq) hits.push_back(Neighbor{ids_[ordinal], dist});
+        });
+      });
   std::vector<Neighbor> hits;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    hits.insert(hits.end(), std::make_move_iterator(partial[s].begin()),
-                std::make_move_iterator(partial[s].end()));
+  for (std::vector<Neighbor>& part : partial) {
+    hits.insert(hits.end(), std::make_move_iterator(part.begin()),
+                std::make_move_iterator(part.end()));
   }
   std::sort(hits.begin(), hits.end(), NeighborLess);
   return hits;
 }
 
 std::vector<double> SketchIndex::SquaredNormEstimates() const {
-  std::vector<double> estimates;
-  estimates.reserve(order_.size());
-  for (const std::string& id : order_) {
-    const Shard& shard = shards_[ShardOf(id)];
-    const size_t pos = shard.by_id.at(id);
-    estimates.push_back(shard.arena.raw_norms[pos] -
-                        shard.arena.noise_centers[pos]);
+  std::vector<double> estimates(static_cast<size_t>(arena_.count));
+  for (size_t i = 0; i < estimates.size(); ++i) {
+    estimates[i] = arena_.raw_norms[i] - arena_.noise_centers[i];
   }
   return estimates;
 }
 
 Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
     ThreadPool* pool) const {
-  std::vector<const PrivateSketch*> sketches;
-  sketches.reserve(order_.size());
-  for (const std::string& id : order_) sketches.push_back(Find(id));
-  return ComputeAllPairs(order_, sketches, pool);
+  return AllPairsAcross({this}, pool);
 }
 
-Result<SketchIndex::DistanceMatrix> SketchIndex::ComputeAllPairs(
-    std::vector<std::string> ids,
-    const std::vector<const PrivateSketch*>& sketches, ThreadPool* pool) {
-  DPJL_CHECK(ids.size() == sketches.size(),
-             "ComputeAllPairs requires one id per sketch");
-  for (const PrivateSketch* sketch : sketches) {
-    DPJL_CHECK(sketch != nullptr, "ComputeAllPairs requires non-null sketches");
-  }
-  const int64_t n = static_cast<int64_t>(sketches.size());
-  // Compatibility is five-field equality (an equivalence relation), so
-  // everyone-vs-first decides exactly when the former per-pair estimator
-  // checks did, with the same status and message.
-  for (int64_t i = 1; i < n; ++i) {
-    if (!sketches[0]->metadata().CompatibleWith(
-            sketches[static_cast<size_t>(i)]->metadata())) {
-      return Status::FailedPrecondition(
-          "sketches come from different projections and cannot be compared");
-    }
-  }
+Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
+    const std::vector<const SketchIndex*>& segments, ThreadPool* pool) {
+  // Segment s holds corpus positions [offsets[s], offsets[s + 1]). Each
+  // segment is internally compatible (the Add invariant) and compatibility
+  // is five-field equality, so one check per segment against the first
+  // non-empty one decides exactly as a per-pair check would.
+  std::vector<int64_t> offsets{0};
+  const SketchMetadata* reference = nullptr;
   DistanceMatrix matrix;
-  matrix.ids = std::move(ids);
+  for (const SketchIndex* segment : segments) {
+    if (!segment->sketches_.empty()) {
+      const SketchMetadata& first = segment->sketches_.front().metadata();
+      if (reference == nullptr) {
+        reference = &first;
+      } else if (!reference->CompatibleWith(first)) {
+        return Status::FailedPrecondition(
+            "sketches come from different projections and cannot be "
+            "compared");
+      }
+    }
+    offsets.push_back(offsets.back() + segment->size());
+    matrix.ids.insert(matrix.ids.end(), segment->ids_.begin(),
+                      segment->ids_.end());
+  }
+  const int64_t n = offsets.back();
   matrix.values.assign(static_cast<size_t>(n * n), 0.0);
   if (n == 0) return matrix;
-
-  // One flat lane-interleaved arena over the whole corpus (the callers'
-  // shard arenas don't cover the engine's cross-partition span): O(nk)
-  // packing against the O(n^2 k) pair work it accelerates.
-  const int64_t k = sketches[0]->metadata().output_dim;
-  const int64_t blocks =
-      (n + kSketchBlockWidth - 1) / kSketchBlockWidth;
-  std::vector<double> packed(
-      static_cast<size_t>(blocks * k * kSketchBlockWidth), 0.0);
-  std::vector<double> centers(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const std::vector<double>& v = sketches[static_cast<size_t>(i)]->values();
-    double* block = packed.data() +
-                    (i / kSketchBlockWidth) * k * kSketchBlockWidth;
-    const int64_t lane = i % kSketchBlockWidth;
-    for (int64_t j = 0; j < k; ++j) {
-      block[j * kSketchBlockWidth + lane] = v[static_cast<size_t>(j)];
-    }
-    centers[static_cast<size_t>(i)] =
-        sketches[static_cast<size_t>(i)]->metadata().noise_center;
-  }
+  const int64_t k = reference->output_dim;
 
   // Row i owns every pair (i, j), j > i, and mirrors it into (j, i); each
   // cell is written by exactly one row task, so rows parallelize freely.
-  // Tiles of kSketchBlockWidth rows walk the column blocks outer-loop
-  // first, so one packed block (k*8 doubles) stays cache-hot across the
-  // whole row tile. Every (row, block) kernel call sees the same inputs
-  // regardless of tiling, so the matrix is chunking-independent.
+  // Tiles of kSketchBlockWidth rows walk each segment's arena blocks
+  // outer-loop first, so one block (k*8 doubles) stays cache-hot across
+  // the whole row tile. The kernels never mix lanes, so a cell's value
+  // depends only on its row and column sketches — not on the tiling, the
+  // segment seams, or which other columns share its block.
   ThreadPool::Run(pool, 0, n, kSketchBlockWidth, [&](int64_t begin,
                                                      int64_t end) {
+    const PrivateSketch* rows[kSketchBlockWidth];
+    for (int64_t i = begin; i < end; ++i) {
+      const size_t s = static_cast<size_t>(
+          std::upper_bound(offsets.begin(), offsets.end(), i) -
+          offsets.begin() - 1);
+      rows[i - begin] =
+          &segments[s]->sketches_[static_cast<size_t>(i - offsets[s])];
+    }
     double dist[kSketchBlockWidth];
-    for (int64_t b = (begin + 1) / kSketchBlockWidth; b < blocks; ++b) {
-      const int64_t col_base = b * kSketchBlockWidth;
-      const int64_t col_width =
-          std::min<int64_t>(kSketchBlockWidth, n - col_base);
-      const double* block =
-          packed.data() + b * k * kSketchBlockWidth;
-      for (int64_t i = begin; i < end; ++i) {
-        if (i + 1 >= col_base + col_width) continue;  // no j > i here
-        EstimateSquaredDistanceBlock(
-            sketches[static_cast<size_t>(i)]->values().data(), k,
-            centers[static_cast<size_t>(i)], block, centers.data() + col_base,
-            col_width, dist);
-        for (int64_t j = std::max(col_base, i + 1); j < col_base + col_width;
-             ++j) {
-          matrix.values[static_cast<size_t>(i * n + j)] = dist[j - col_base];
-          matrix.values[static_cast<size_t>(j * n + i)] = dist[j - col_base];
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const SketchArena& arena = segments[s]->arena_;
+      const int64_t first_block =
+          std::max<int64_t>(0, begin + 1 - offsets[s]) / kSketchBlockWidth;
+      for (int64_t b = first_block; b < arena.blocks(); ++b) {
+        const int64_t col_base = offsets[s] + b * kSketchBlockWidth;
+        const int64_t col_width = std::min<int64_t>(
+            kSketchBlockWidth, arena.count - b * kSketchBlockWidth);
+        const double* centers =
+            arena.noise_centers.data() + b * kSketchBlockWidth;
+        for (int64_t i = begin; i < end; ++i) {
+          if (i + 1 >= col_base + col_width) continue;  // no j > i here
+          const PrivateSketch& row = *rows[i - begin];
+          EstimateSquaredDistanceBlock(row.values().data(), k,
+                                       row.metadata().noise_center,
+                                       arena.BlockAt(b), centers, col_width,
+                                       dist);
+          for (int64_t j = std::max(col_base, i + 1);
+               j < col_base + col_width; ++j) {
+            matrix.values[static_cast<size_t>(i * n + j)] = dist[j - col_base];
+            matrix.values[static_cast<size_t>(j * n + i)] = dist[j - col_base];
+          }
         }
       }
     }
@@ -370,8 +348,8 @@ std::string SketchIndex::SerializeRange(size_t begin, size_t end) const {
   std::string out;
   AppendU64(&out, static_cast<uint64_t>(end - begin));
   for (size_t i = begin; i < end; ++i) {
-    const std::string& id = order_[i];
-    const std::string blob = Find(id)->Serialize();
+    const std::string& id = ids_[i];
+    const std::string blob = sketches_[i].Serialize();
     AppendU64(&out, id.size());
     out.append(id);
     AppendU64(&out, blob.size());
@@ -382,30 +360,20 @@ std::string SketchIndex::SerializeRange(size_t begin, size_t end) const {
 
 std::string SketchIndex::Serialize() const {
   return EncodeSnapshot(SnapshotKind::kIndex,
-                        SerializeRange(0, order_.size()));
+                        SerializeRange(0, ids_.size()));
 }
 
 Result<SketchIndex> SketchIndex::Deserialize(const std::string& bytes) {
-  if (HasSnapshotMagic(bytes)) {
-    DPJL_ASSIGN_OR_RETURN(const SnapshotEnvelope envelope,
-                          DecodeSnapshot(bytes));
-    if (envelope.kind != SnapshotKind::kIndex) {
-      return Status::DataLoss(
-          "snapshot is not a sketch index (payload kind mismatch)");
-    }
-    return DecodeRecords(envelope.payload, 0);
+  DPJL_ASSIGN_OR_RETURN(const SnapshotEnvelope envelope, DecodeSnapshot(bytes));
+  if (envelope.kind != SnapshotKind::kIndex) {
+    return Status::DataLoss(
+        "snapshot is not a sketch index (payload kind mismatch)");
   }
-  // Legacy pre-envelope blobs: bare magic + record stream, no checksum.
-  if (bytes.size() < sizeof(kLegacyIndexMagic) ||
-      std::memcmp(bytes.data(), kLegacyIndexMagic,
-                  sizeof(kLegacyIndexMagic)) != 0) {
-    return Status::DataLoss("bad index magic/version");
-  }
-  return DecodeRecords(bytes, sizeof(kLegacyIndexMagic));
+  return DecodeRecords(envelope.payload);
 }
 
-Result<SketchIndex> SketchIndex::DecodeRecords(const std::string& bytes,
-                                               size_t offset) {
+Result<SketchIndex> SketchIndex::DecodeRecords(const std::string& bytes) {
+  size_t offset = 0;
   uint64_t count = 0;
   if (!ReadU64(bytes, &offset, &count)) {
     return Status::DataLoss("truncated index header");
@@ -444,12 +412,12 @@ Result<SketchIndex::PartitionedSnapshot> SketchIndex::ExportPartitions(
   if (num_partitions < 1) {
     return Status::InvalidArgument("num_partitions must be >= 1");
   }
-  const size_t n = order_.size();
+  const size_t n = ids_.size();
   const size_t k = static_cast<size_t>(num_partitions);
   PartitionedSnapshot snapshot;
   snapshot.manifest.total_count = static_cast<int64_t>(n);
   snapshot.manifest.fingerprint =
-      n == 0 ? 0 : CompatibilityFingerprint(Find(order_.front())->metadata());
+      n == 0 ? 0 : CompatibilityFingerprint(sketches_.front().metadata());
   snapshot.manifest.partitions.reserve(k);
   snapshot.partitions.reserve(k);
   for (size_t p = 0; p < k; ++p) {
@@ -462,8 +430,8 @@ Result<SketchIndex::PartitionedSnapshot> SketchIndex::ExportPartitions(
     ShardManifest::Partition entry;
     entry.count = static_cast<int64_t>(end - begin);
     if (begin < end) {
-      entry.first_id = order_[begin];
-      entry.last_id = order_[end - 1];
+      entry.first_id = ids_[begin];
+      entry.last_id = ids_[end - 1];
     }
     entry.checksum = SnapshotChecksum(blob);
     snapshot.manifest.partitions.push_back(std::move(entry));
@@ -473,8 +441,8 @@ Result<SketchIndex::PartitionedSnapshot> SketchIndex::ExportPartitions(
 }
 
 Result<SketchIndex> SketchIndex::FromPartitions(
-    const ShardManifest& manifest, const std::vector<std::string>& partitions,
-    int num_shards) {
+    const ShardManifest& manifest,
+    const std::vector<std::string>& partitions) {
   if (partitions.size() != manifest.partitions.size()) {
     return Status::DataLoss(
         "manifest/partition count disagreement: manifest describes " +
@@ -483,7 +451,7 @@ Result<SketchIndex> SketchIndex::FromPartitions(
   }
   // No allocation is sized from the manifest: its counts are untrusted
   // until each partition blob has decoded and matched them.
-  SketchIndex merged(num_shards);
+  SketchIndex merged;
   for (size_t p = 0; p < partitions.size(); ++p) {
     const ShardManifest::Partition& expected = manifest.partitions[p];
     // Checksum first: a blob that doesn't match its manifest entry is
@@ -500,8 +468,8 @@ Result<SketchIndex> SketchIndex::FromPartitions(
           std::to_string(expected.count));
     }
     if (part.size() > 0) {
-      if (part.order_.front() != expected.first_id ||
-          part.order_.back() != expected.last_id) {
+      if (part.ids_.front() != expected.first_id ||
+          part.ids_.back() != expected.last_id) {
         return Status::DataLoss("partition " + std::to_string(p) +
                                 " id range disagrees with the manifest");
       }
@@ -509,7 +477,7 @@ Result<SketchIndex> SketchIndex::FromPartitions(
       // own Deserialize already proved internal compatibility, so no
       // sketch metadata is re-scanned here.
       const uint64_t fingerprint =
-          CompatibilityFingerprint(part.Find(part.order_.front())->metadata());
+          CompatibilityFingerprint(part.sketches_.front().metadata());
       if (fingerprint != manifest.fingerprint) {
         return Status::FailedPrecondition(
             "partition " + std::to_string(p) +
@@ -517,14 +485,13 @@ Result<SketchIndex> SketchIndex::FromPartitions(
             "compatibility fingerprint");
       }
     }
-    for (const std::string& id : part.order_) {
-      if (merged.Find(id) != nullptr) {
+    for (size_t i = 0; i < part.ids_.size(); ++i) {
+      if (merged.ordinals_.count(part.ids_[i]) > 0) {
         return Status::InvalidArgument(
-            "duplicate sketch id across partitions: " + id);
+            "duplicate sketch id across partitions: " + part.ids_[i]);
       }
-      Shard& source = part.shards_[part.ShardOf(id)];
-      PrivateSketch& sketch = source.entries[source.by_id.at(id)].sketch;
-      merged.AppendEntry(id, std::move(sketch));
+      merged.AppendEntry(std::move(part.ids_[i]),
+                         std::move(part.sketches_[i]));
     }
   }
   if (merged.size() != manifest.total_count) {

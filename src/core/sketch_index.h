@@ -20,27 +20,21 @@ namespace dpjl {
 /// introduction motivates (approximate NN search, document comparison) in
 /// one reusable component.
 ///
-/// Storage is hash-partitioned into a fixed number of shards (id hash mod
-/// shard count), so queries can scan shards concurrently on a ThreadPool
-/// and merge the partial results. The shard layout is an implementation
-/// detail: query results, `ids()` order and the serialized format are
-/// defined purely by insertion order and the deterministic
-/// (distance, id) sort, and are identical for any shard count, thread
-/// count, or no pool at all.
-///
-/// Each shard additionally maintains a *sketch arena*: a contiguous,
-/// lane-interleaved (kSketchBlockWidth-wide, the kernels.h column-block
-/// layout) SoA mirror of its entries' values plus parallel arrays of
-/// cached raw squared norms and noise centers. Queries scan the arena
-/// with the multi-candidate distance kernels — eight candidates per pass —
-/// instead of chasing per-entry heap vectors; the canonical PrivateSketch
-/// objects stay in the entries, so Find() pointers remain stable and the
-/// arena is pure scan-side state. It grows incrementally on Add/AddBatch
-/// (every insertion funnels through one append point) and is therefore
-/// rebuilt for free on Deserialize/FromPartitions, which insert through
-/// the same point. The kernels vectorize across candidate lanes only and
-/// never reassociate a reduction, so every query result is byte-identical
-/// to the per-entry scalar scan in every dispatch mode.
+/// Storage is one insertion-ordered store: `ids()` order, an id -> ordinal
+/// map, a deque of the canonical PrivateSketch objects (so Find() pointers
+/// stay stable across later insertions) and one *sketch arena* — a
+/// contiguous, lane-interleaved (kSketchBlockWidth-wide, the kernels.h
+/// column-block layout) SoA mirror of the sketch values plus parallel
+/// arrays of cached raw squared norms and noise centers. Queries scan the
+/// arena with the multi-candidate distance kernels, eight candidates per
+/// pass; with a ThreadPool they split it into fixed-grain block ranges and
+/// merge by the deterministic (distance, id) order. The arena grows
+/// incrementally on Add/AddBatch (every insertion funnels through one
+/// append point) and is therefore rebuilt for free on
+/// Deserialize/FromPartitions, which insert through the same point. The
+/// kernels vectorize across candidate lanes only and never reassociate a
+/// reduction, so every query result is byte-identical to the per-entry
+/// scalar scan in every dispatch mode, at any thread count or none.
 ///
 /// All stored sketches must be mutually compatible (same public
 /// projection); Add() enforces this. The index stores released artifacts
@@ -52,31 +46,21 @@ namespace dpjl {
 /// not safe concurrently with anything else.
 class SketchIndex {
  public:
-  /// Default shard count: enough lanes for typical core counts without
-  /// fragmenting small corpora.
-  static constexpr int kDefaultShards = 16;
-
-  SketchIndex() : SketchIndex(kDefaultShards) {}
-
-  /// `num_shards` below 1 is clamped to 1.
-  explicit SketchIndex(int num_shards);
-
   /// Inserts `sketch` under `id`. Fails if the id exists or the sketch is
   /// incompatible with those already stored. Pointers previously returned
-  /// by Find() remain valid (per-shard deque storage).
+  /// by Find() remain valid (deque storage).
   Status Add(std::string id, PrivateSketch sketch);
 
   /// Bulk ingestion: validates the whole batch up front — ids distinct
   /// within the batch and absent from the index, every sketch compatible
   /// with one reference (the stored projection, or the batch's first item
-  /// on an empty index) — then builds shard membership in one pass,
-  /// without the per-Add compatibility rescan. All-or-nothing: on any
-  /// non-OK status the index is unchanged. Pointers previously returned
-  /// by Find() remain valid. Insertion order is the batch order.
+  /// on an empty index) — then appends it in one pass, without the
+  /// per-Add compatibility rescan. All-or-nothing: on any non-OK status
+  /// the index is unchanged. Pointers previously returned by Find() remain
+  /// valid. Insertion order is the batch order.
   Status AddBatch(std::vector<std::pair<std::string, PrivateSketch>> items);
 
-  int64_t size() const { return static_cast<int64_t>(order_.size()); }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int64_t size() const { return static_cast<int64_t>(ids_.size()); }
 
   /// Pointer to a stored sketch, or nullptr. Stable across Add().
   const PrivateSketch* Find(const std::string& id) const;
@@ -99,8 +83,8 @@ class SketchIndex {
   /// distance, ascending (ties broken by id for determinism). `query` may
   /// be a stored sketch or an external compatible one; if it is stored, it
   /// will match itself at (noisy) distance ~0 — callers filter if needed.
-  /// With a non-null `pool`, shards are scanned concurrently; the result
-  /// is identical to the serial scan.
+  /// With a non-null `pool`, block ranges of the arena are scanned
+  /// concurrently; the result is identical to the serial scan.
   Result<std::vector<Neighbor>> NearestNeighbors(const PrivateSketch& query,
                                                  int64_t top_n,
                                                  ThreadPool* pool = nullptr) const;
@@ -127,25 +111,24 @@ class SketchIndex {
   };
   Result<DistanceMatrix> AllPairsDistances(ThreadPool* pool = nullptr) const;
 
-  /// The computation core behind AllPairsDistances, over an explicit
-  /// positional (ids, sketches) pairing — shared with the engine's
-  /// partitioned serving path so the monolithic and scatter-gather
-  /// matrices can never diverge. Row i owns every pair (i, j), j > i, and
-  /// mirrors it; the diagonal is exactly 0.
-  static Result<DistanceMatrix> ComputeAllPairs(
-      std::vector<std::string> ids,
-      const std::vector<const PrivateSketch*>& sketches, ThreadPool* pool);
+  /// AllPairsDistances over the concatenation of `segments` in order (ids
+  /// and positions run through segment 0, then segment 1, ...), read
+  /// straight from their arenas. The engine serves its owned index plus
+  /// attached partitions through this, and a single index is the
+  /// one-segment case, so the monolithic and scatter-gather matrices can
+  /// never diverge: each cell comes from one block-kernel call with the
+  /// same row and column values wherever the segment seams fall. Fails
+  /// with kFailedPrecondition when two segments hold incompatible
+  /// sketches.
+  static Result<DistanceMatrix> AllPairsAcross(
+      const std::vector<const SketchIndex*>& segments, ThreadPool* pool);
 
   /// Serializes the whole index (ids + sketches, insertion order) inside a
   /// versioned snapshot envelope (see snapshot.h: magic, format version,
-  /// payload kind, size, checksum). The format does not encode the shard
-  /// layout; Deserialize may use any shard count. The index persists
-  /// released artifacts only, so the file is as public as the sketches
-  /// themselves.
-  ///
-  /// Deserialize also accepts pre-envelope "v0" blobs (legacy "DPJLIX01"
-  /// magic, no checksum) so snapshots written before the envelope existed
-  /// keep loading. Serialize always writes the enveloped form.
+  /// payload kind, size, checksum). The index persists released
+  /// artifacts only, so the file is as public as the sketches themselves.
+  /// Deserialize refuses anything that is not such an envelope with
+  /// kDataLoss.
   [[nodiscard]] std::string Serialize() const;
   static Result<SketchIndex> Deserialize(const std::string& bytes);
 
@@ -176,28 +159,24 @@ class SketchIndex {
   /// projection yields kFailedPrecondition; duplicate ids across
   /// partitions yield kInvalidArgument. On any error no index is returned.
   static Result<SketchIndex> FromPartitions(
-      const ShardManifest& manifest, const std::vector<std::string>& partitions,
-      int num_shards = kDefaultShards);
+      const ShardManifest& manifest,
+      const std::vector<std::string>& partitions);
 
   /// Ids in insertion order.
-  const std::vector<std::string>& ids() const { return order_; }
+  const std::vector<std::string>& ids() const { return ids_; }
 
   /// Unbiased squared-norm estimates (EstimateSquaredNorm) for every stored
-  /// sketch, in insertion order. Served from the arenas' cached raw norms —
+  /// sketch, in insertion order. Served from the arena's cached raw norms —
   /// one subtraction per entry, no sketch traversal.
   [[nodiscard]] std::vector<double> SquaredNormEstimates() const;
 
  private:
-  struct Entry {
-    std::string id;
-    PrivateSketch sketch;
-  };
-  /// The scan-side SoA mirror of one shard (see the class comment):
+  /// The scan-side SoA mirror of the store (see the class comment):
   /// `values` packs entry e's coordinate j at
   /// `values[(e / W) * dim * W + j * W + (e % W)]` with W =
   /// kSketchBlockWidth; the tail block is zero-padded (padding lanes
   /// compute garbage distances that scans discard). `raw_norms` and
-  /// `noise_centers` are indexed by entry position, unpadded.
+  /// `noise_centers` are indexed by ordinal, unpadded.
   struct SketchArena {
     int64_t dim = 0;
     int64_t count = 0;
@@ -206,47 +185,47 @@ class SketchIndex {
     std::vector<double> noise_centers;
 
     void Append(const PrivateSketch& sketch);
+    int64_t blocks() const;
     const double* BlockAt(int64_t block) const;
   };
-  /// One hash partition. `entries` is a deque so Find() pointers survive
-  /// later insertions; `by_id` maps id -> position in `entries`; `arena`
-  /// mirrors `entries` for blocked scans.
-  struct Shard {
-    std::deque<Entry> entries;
-    std::unordered_map<std::string, size_t> by_id;
-    SketchArena arena;
-  };
-
-  size_t ShardOf(const std::string& id) const;
 
   /// FailedPrecondition (the estimator's exact incompatibility message)
   /// unless `query` is compatible with the stored projection — one check
   /// per query standing in for the per-entry checks of a per-pair scan.
   Status CheckQueryCompatible(const PrivateSketch& query) const;
 
-  /// Blocked arena scan of one shard keeping the top_n nearest to `query`,
-  /// ascending. Requires CheckQueryCompatible to have passed.
-  [[nodiscard]] std::vector<Neighbor> ScanShardTopK(
-      const Shard& shard, const PrivateSketch& query, int64_t top_n) const;
+  /// Blocked arena scan of blocks [block_begin, block_end): calls
+  /// `visit(ordinal, estimate)` for every stored sketch in them, in
+  /// ordinal order. Requires CheckQueryCompatible to have passed.
+  template <typename Visit>
+  void ScanBlocks(const PrivateSketch& query, int64_t block_begin,
+                  int64_t block_end, Visit&& visit) const;
+
+  /// The top_n nearest to `query` within blocks [block_begin, block_end),
+  /// ascending.
+  [[nodiscard]] std::vector<Neighbor> ScanTopK(const PrivateSketch& query,
+                                               int64_t top_n,
+                                               int64_t block_begin,
+                                               int64_t block_end) const;
 
   /// Appends an entry assuming the caller already established id
   /// uniqueness and sketch compatibility (Add/AddBatch validation, or a
   /// manifest fingerprint in FromPartitions).
   void AppendEntry(std::string id, PrivateSketch sketch);
 
-  /// Record stream for order_[begin, end) — the envelope payload format.
+  /// Record stream for ordinals [begin, end) — the envelope payload format.
   [[nodiscard]] std::string SerializeRange(size_t begin, size_t end) const;
 
   /// Parses a record stream produced by SerializeRange (count + records).
-  static Result<SketchIndex> DecodeRecords(const std::string& bytes,
-                                           size_t offset);
+  static Result<SketchIndex> DecodeRecords(const std::string& bytes);
 
-  /// Runs `scan(shard_index)` for every shard, on `pool` when provided.
-  void ForEachShard(ThreadPool* pool,
-                    const std::function<void(size_t)>& scan) const;
-
-  std::vector<Shard> shards_;
-  std::vector<std::string> order_;
+  /// The store: position i of `ids_`, `sketches_` and `arena_` is the
+  /// i-th inserted sketch; `ordinals_` maps id -> i. `sketches_` is a deque
+  /// so Find() pointers survive later insertions.
+  std::vector<std::string> ids_;
+  std::unordered_map<std::string, size_t> ordinals_;
+  std::deque<PrivateSketch> sketches_;
+  SketchArena arena_;
 };
 
 }  // namespace dpjl

@@ -28,10 +28,8 @@ namespace dpjl {
 /// The envelope carries integrity (checksum, exact size) and evolution
 /// (version, kind) concerns once, so payload formats stay simple record
 /// streams. Anything that fails to decode returns a kDataLoss status —
-/// corrupted files are reported, never crashed on. Pre-envelope ("v0")
-/// index blobs carry the legacy "DPJLIX01" magic and are still readable
-/// via SketchIndex::Deserialize's legacy path; the envelope magic was
-/// chosen to differ in byte 4 so the two generations cannot be confused.
+/// corrupted files are reported, never crashed on. That includes
+/// pre-envelope index blobs (the retired "DPJLIX01" format).
 
 /// What a snapshot payload decodes as. Serialized as u32; values are
 /// stable on-disk identifiers, never reordered.

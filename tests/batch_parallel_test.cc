@@ -251,18 +251,17 @@ TEST(BatchSketcherTest, SeedDerivationDecorrelatesItems) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded SketchIndex equivalence: query results (ids, distances, order)
-// must be identical to a reference linear scan for every shard count and
-// thread count.
+// SketchIndex equivalence: query results (ids, distances, order) must be
+// identical to a reference linear scan at every thread count.
 
 struct Corpus {
   SketchIndex index;
   PrivateSketch query;
 };
 
-Corpus MakeCorpus(int num_shards, int64_t n) {
+Corpus MakeCorpus(int64_t n) {
   const int64_t d = 64;
-  Corpus c{SketchIndex(num_shards), PrivateSketch()};
+  Corpus c{SketchIndex(), PrivateSketch()};
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < n; ++i) {
@@ -277,7 +276,7 @@ Corpus MakeCorpus(int num_shards, int64_t n) {
   return c;
 }
 
-/// Reference implementation: the pre-sharding linear scan.
+/// Reference implementation: the per-entry linear scan.
 std::vector<SketchIndex::Neighbor> LinearScan(const SketchIndex& index,
                                               const PrivateSketch& query) {
   std::vector<SketchIndex::Neighbor> all;
@@ -306,26 +305,24 @@ void ExpectSameNeighbors(const std::vector<SketchIndex::Neighbor>& actual,
 }
 
 TEST(ShardedIndexTest, NearestNeighborsMatchLinearScanAcrossShardsAndThreads) {
-  for (int num_shards : {1, 4, 16}) {
-    const Corpus c = MakeCorpus(num_shards, 41);
-    ASSERT_EQ(c.index.size(), 41);
-    std::vector<SketchIndex::Neighbor> reference = LinearScan(c.index, c.query);
-    reference.resize(7);
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      const auto got = c.index.NearestNeighbors(c.query, 7, &pool);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ExpectSameNeighbors(*got, reference);
-    }
-    // No-pool parallel overload and the historical serial path agree too.
-    const auto serial = c.index.NearestNeighbors(c.query, 7);
-    ASSERT_TRUE(serial.ok());
-    ExpectSameNeighbors(*serial, reference);
+  const Corpus c = MakeCorpus(41);
+  ASSERT_EQ(c.index.size(), 41);
+  std::vector<SketchIndex::Neighbor> reference = LinearScan(c.index, c.query);
+  reference.resize(7);
+  for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    const auto got = c.index.NearestNeighbors(c.query, 7, &pool);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameNeighbors(*got, reference);
   }
+  // The no-pool serial path agrees too.
+  const auto serial = c.index.NearestNeighbors(c.query, 7);
+  ASSERT_TRUE(serial.ok());
+  ExpectSameNeighbors(*serial, reference);
 }
 
 TEST(ShardedIndexTest, NearestNeighborsTopNClampsToCorpus) {
-  const Corpus c = MakeCorpus(4, 5);
+  const Corpus c = MakeCorpus(5);
   ThreadPool pool(2);
   const auto got = c.index.NearestNeighbors(c.query, 50, &pool);
   ASSERT_TRUE(got.ok());
@@ -333,68 +330,51 @@ TEST(ShardedIndexTest, NearestNeighborsTopNClampsToCorpus) {
 }
 
 TEST(ShardedIndexTest, RangeQueryMatchesLinearScanAcrossShardsAndThreads) {
-  for (int num_shards : {1, 4, 16}) {
-    const Corpus c = MakeCorpus(num_shards, 41);
-    // A radius near the corpus median keeps both sides of the cut populated.
-    const std::vector<SketchIndex::Neighbor> scan = LinearScan(c.index, c.query);
-    const double radius = scan[scan.size() / 2].squared_distance;
-    std::vector<SketchIndex::Neighbor> reference;
-    for (const auto& nb : scan) {
-      if (nb.squared_distance <= radius) reference.push_back(nb);
-    }
-    ASSERT_FALSE(reference.empty());
-    ASSERT_LT(reference.size(), scan.size());
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      const auto got = c.index.RangeQuery(c.query, radius, &pool);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ExpectSameNeighbors(*got, reference);
-    }
+  const Corpus c = MakeCorpus(41);
+  // A radius near the corpus median keeps both sides of the cut populated.
+  const std::vector<SketchIndex::Neighbor> scan = LinearScan(c.index, c.query);
+  const double radius = scan[scan.size() / 2].squared_distance;
+  std::vector<SketchIndex::Neighbor> reference;
+  for (const auto& nb : scan) {
+    if (nb.squared_distance <= radius) reference.push_back(nb);
+  }
+  ASSERT_FALSE(reference.empty());
+  ASSERT_LT(reference.size(), scan.size());
+  for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    const auto got = c.index.RangeQuery(c.query, radius, &pool);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameNeighbors(*got, reference);
   }
 }
 
 TEST(ShardedIndexTest, AllPairsDistancesMatchPairwiseLoop) {
-  for (int num_shards : {1, 16}) {
-    const Corpus c = MakeCorpus(num_shards, 17);
-    const int64_t n = c.index.size();
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      const auto matrix = c.index.AllPairsDistances(&pool);
-      ASSERT_TRUE(matrix.ok()) << matrix.status();
-      ASSERT_EQ(matrix->ids, c.index.ids());
-      ASSERT_EQ(matrix->values.size(), static_cast<size_t>(n * n));
-      for (int64_t i = 0; i < n; ++i) {
-        EXPECT_EQ(matrix->at(i, i), 0.0);
-        for (int64_t j = i + 1; j < n; ++j) {
-          const double expected =
-              c.index.SquaredDistance(matrix->ids[static_cast<size_t>(i)],
-                                      matrix->ids[static_cast<size_t>(j)])
-                  .value();
-          EXPECT_EQ(matrix->at(i, j), expected) << i << "," << j;
-          EXPECT_EQ(matrix->at(j, i), expected) << j << "," << i;
-        }
+  const Corpus c = MakeCorpus(17);
+  const int64_t n = c.index.size();
+  for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    const auto matrix = c.index.AllPairsDistances(&pool);
+    ASSERT_TRUE(matrix.ok()) << matrix.status();
+    ASSERT_EQ(matrix->ids, c.index.ids());
+    ASSERT_EQ(matrix->values.size(), static_cast<size_t>(n * n));
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(matrix->at(i, i), 0.0);
+      for (int64_t j = i + 1; j < n; ++j) {
+        const double expected =
+            c.index.SquaredDistance(matrix->ids[static_cast<size_t>(i)],
+                                    matrix->ids[static_cast<size_t>(j)])
+                .value();
+        EXPECT_EQ(matrix->at(i, j), expected) << i << "," << j;
+        EXPECT_EQ(matrix->at(j, i), expected) << j << "," << i;
       }
     }
   }
 }
 
-TEST(ShardedIndexTest, ShardCountDoesNotAffectSerializationOrIdOrder) {
-  const Corpus one = MakeCorpus(1, 19);
-  const Corpus many = MakeCorpus(16, 19);
-  EXPECT_EQ(one.index.ids(), many.index.ids());
-  EXPECT_EQ(one.index.Serialize(), many.index.Serialize());
-  // Round trip through serialization preserves query results.
-  const SketchIndex decoded =
-      SketchIndex::Deserialize(many.index.Serialize()).value();
-  ThreadPool pool(2);
-  ExpectSameNeighbors(decoded.NearestNeighbors(many.query, 5, &pool).value(),
-                      many.index.NearestNeighbors(many.query, 5).value());
-}
-
 TEST(ShardedIndexTest, FindPointersSurviveLaterAdds) {
   const int64_t d = 64;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
-  SketchIndex index(4);
+  SketchIndex index;
   Rng rng(kTestSeed);
   ASSERT_TRUE(
       index.Add("first", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1))

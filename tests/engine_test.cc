@@ -44,8 +44,13 @@ SketcherConfig BaseSketcher() {
 EngineOptions BaseOptions() {
   EngineOptions options;
   options.sketcher = BaseSketcher();
-  options.num_shards = 4;
   return options;
+}
+
+RequestOptions WithDeadline(int64_t deadline_ms) {
+  RequestOptions request;
+  request.deadline_ms = deadline_ms;
+  return request;
 }
 
 // ---------------------------------------------------------------------------
@@ -489,11 +494,10 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
       {"epsilon", "4.5"},        {"delta", "1e-6"},
       {"alpha", "0.15"},         {"beta", "0.01"},
       {"seed", "12345"},         {"transform", "fjlt"},
-      {"threads", "0"},          {"shards", "32"},
-      {"serving-threads", "3"},  {"queue-capacity", "17"},
-      {"tenant-quota", "9"},     {"tenant-rate", "50"},
-      {"deadline-ms", "250"},    {"batch-grain", "24"},
-      {"input", "tool-flag.csv"}};
+      {"threads", "0"},          {"serving-threads", "3"},
+      {"queue-capacity", "17"},  {"tenant-quota", "9"},
+      {"tenant-rate", "50"},     {"deadline-ms", "250"},
+      {"batch-grain", "24"},     {"input", "tool-flag.csv"}};
   const auto options = EngineOptions::Parse(flags, /*passthrough=*/{"input"});
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_DOUBLE_EQ(options->sketcher.epsilon, 4.5);
@@ -503,7 +507,6 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
   EXPECT_EQ(options->sketcher.projection_seed, 12345u);
   EXPECT_EQ(options->sketcher.transform, TransformKind::kFjlt);
   EXPECT_EQ(options->threads, 0);
-  EXPECT_EQ(options->num_shards, 32);
   EXPECT_EQ(options->serving_threads, 3);
   EXPECT_EQ(options->queue_capacity, 17);
   EXPECT_EQ(options->tenant_quota, 9);
@@ -528,12 +531,21 @@ TEST(EngineOptionsTest, ParseRejectsUnknownKeysUnlessPassedThrough) {
           .ok());
 }
 
+TEST(EngineOptionsTest, ShardsIsRejectedAsAnUnknownKey) {
+  // The index has one arena and no shard count to configure.
+  const auto options = EngineOptions::Parse({{"shards", "4"}});
+  ASSERT_FALSE(options.ok());
+  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(options.status().message().find("unknown flag --shards"),
+            std::string::npos)
+      << options.status();
+}
+
 TEST(EngineOptionsTest, ParseRejectsMalformedOrOutOfDomainValues) {
   const std::vector<std::map<std::string, std::string>> bad = {
       {{"epsilon", "abc"}},        {{"epsilon", ""}},
       {{"threads", "-1"}},         {{"threads", "10000"}},
       {{"threads", "2x"}},         {{"threads", ""}},
-      {{"shards", "0"}},           {{"shards", "1.5"}},
       {{"serving-threads", "0"}},  {{"queue-capacity", "0"}},
       {{"queue-capacity", "lots"}}, {{"tenant-quota", "-1"}},
       {{"tenant-quota", "many"}},  {{"tenant-rate", "-1"}},
@@ -568,7 +580,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   options.sketcher.placement = NoisePlacement::kPostHadamard;
   options.sketcher.projection_seed = 99;
   options.threads = 7;
-  options.num_shards = 5;
   options.serving_threads = 4;
   options.queue_capacity = 33;
   options.tenant_quota = 3;
@@ -600,7 +611,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   EXPECT_EQ(parsed->sketcher.placement, options.sketcher.placement);
   EXPECT_EQ(parsed->sketcher.projection_seed, options.sketcher.projection_seed);
   EXPECT_EQ(parsed->threads, options.threads);
-  EXPECT_EQ(parsed->num_shards, options.num_shards);
   EXPECT_EQ(parsed->serving_threads, options.serving_threads);
   EXPECT_EQ(parsed->queue_capacity, options.queue_capacity);
   EXPECT_EQ(parsed->tenant_quota, options.tenant_quota);
@@ -622,7 +632,7 @@ struct DirectReference {
 
 DirectReference MakeReference(int64_t n) {
   const int64_t d = 64;
-  DirectReference ref{MakeSketcherOrDie(d, BaseSketcher()), SketchIndex(4), {},
+  DirectReference ref{MakeSketcherOrDie(d, BaseSketcher()), SketchIndex(), {},
                       PrivateSketch()};
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < n; ++i) {
@@ -795,7 +805,8 @@ TEST(EngineTest, NegativeBudgetIsExpiredOnArrival) {
                     .ok());
   }
   for (const int64_t budget : {int64_t{-1}, int64_t{-7}}) {
-    const auto expired = engine->SubmitQuery(ref.probe, 3, budget).Get();
+    const auto expired =
+        engine->SubmitQuery(ref.probe, 3, WithDeadline(budget)).Get();
     ASSERT_FALSE(expired.ok());
     EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded) << budget;
   }
@@ -850,9 +861,9 @@ TEST(EngineTest, ExpiredQueuedRequestFailsWithoutStallingOthers) {
   LaneGate gate(engine.get());
 
   const auto submit_time = RequestQueue::Clock::now();
-  const auto doomed = engine->SubmitQuery(ref.probe, 3, /*deadline_ms=*/1);
+  const auto doomed = engine->SubmitQuery(ref.probe, 3, WithDeadline(1));
   const auto patient =
-      engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
+      engine->SubmitQuery(ref.probe, 3, WithDeadline(Engine::kNoDeadline));
   // Let the 1 ms deadline lapse while both requests sit in the queue, then
   // reopen the lane.
   std::this_thread::sleep_until(submit_time + std::chrono::milliseconds(20));
@@ -886,9 +897,10 @@ TEST(EngineTest, SaturatedQueueRejectsAtAdmissionWithoutStallingInFlight) {
   LaneGate gate(engine.get());
 
   // Fill the queue behind the parked lane, then overflow it.
-  const auto queued_a = engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
-  const auto queued_b = engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
-  const auto refused = engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
+  const RequestOptions no_deadline = WithDeadline(Engine::kNoDeadline);
+  const auto queued_a = engine->SubmitQuery(ref.probe, 3, no_deadline);
+  const auto queued_b = engine->SubmitQuery(ref.probe, 3, no_deadline);
+  const auto refused = engine->SubmitQuery(ref.probe, 3, no_deadline);
   // Admission control resolves the overflow future immediately — no waiting
   // on the stalled lane.
   EXPECT_TRUE(refused.Ready());
@@ -1178,7 +1190,7 @@ TEST(EngineTest, StatsCountersConsistentWithStagedOutcomes) {
 
   // Stage one of each outcome behind the held lane (quota 1):
   const auto submit_time = RequestQueue::Clock::now();
-  const auto doomed = engine->SubmitQuery(ref.probe, 3, /*deadline_ms=*/1);
+  const auto doomed = engine->SubmitQuery(ref.probe, 3, WithDeadline(1));
   auto cancelme = engine->SubmitQuery(ref.probe, 3);
   EXPECT_TRUE(cancelme.Cancel());
   const auto alice_served = engine->SubmitQuery(

@@ -1,30 +1,33 @@
 // Lint fixture: the test copies this file to <tmp>/src/core/scan.cc, where
-// the range-for over a shard `entries` container must fire
+// the range-for over the per-sketch `sketches_` store must fire
 // `entries-scan-in-query`; the same file outside src/core/ must be clean.
 // The suppressed loop below must stay silent in both locations.
 #include <deque>
 #include <string>
 
-struct Entry {
+struct Sketch {
   std::string id;
 };
-struct Shard {
-  std::deque<Entry> entries;
+
+class Index {
+ public:
+  int CountByIteration() const {
+    int count = 0;
+    for (const Sketch& s : sketches_) {
+      count += static_cast<int>(s.id.size());
+    }
+    return count;
+  }
+
+  int CountSuppressed() const {
+    int count = 0;
+    // dpjl-lint: allow(entries-scan-in-query)
+    for (const Sketch& s : sketches_) {
+      count += static_cast<int>(s.id.size());
+    }
+    return count;
+  }
+
+ private:
+  std::deque<Sketch> sketches_;
 };
-
-int CountByIteration(const Shard& shard) {
-  int count = 0;
-  for (const Entry& e : shard.entries) {
-    count += static_cast<int>(e.id.size());
-  }
-  return count;
-}
-
-int CountSuppressed(const Shard& shard) {
-  int count = 0;
-  // dpjl-lint: allow(entries-scan-in-query)
-  for (const Entry& e : shard.entries) {
-    count += static_cast<int>(e.id.size());
-  }
-  return count;
-}

@@ -44,7 +44,7 @@ SketcherConfig BaseSketcher() {
 /// the in-process stand-in for the multi-process topology the
 /// serve_roundtrip.sh script exercises for real.
 struct Cluster {
-  SketchIndex reference{4};
+  SketchIndex reference;
   ShardManifest manifest;
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<std::unique_ptr<Server>> servers;
@@ -58,7 +58,7 @@ struct Cluster {
 /// "doc-N" naming interleaves and forces the scatter path.
 Cluster StartCluster(int64_t corpus_size, int num_partitions,
                      int replicas_per_group = 1, bool sequential_ids = false) {
-  Cluster cluster{SketchIndex(4),
+  Cluster cluster{SketchIndex(),
                   ShardManifest(),
                   {},
                   {},

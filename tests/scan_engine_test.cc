@@ -1,11 +1,11 @@
-// Equivalence suite for the query-path scan engine (the per-shard sketch
-// arenas + multi-candidate distance kernels behind SketchIndex queries).
+// Equivalence suite for the query-path scan engine (the sketch arena +
+// multi-candidate distance kernels behind SketchIndex queries).
 //
 // The contract under test is byte-identity: the blocked arena scan must
 // reproduce the pre-arena per-entry scalar path — one EstimateSquaredDistance
 // call per stored sketch, full deterministic (distance, id) sort — exactly,
-// for every kernel dispatch table, across dims x corpus sizes x shard
-// counts x thread counts, including arenas rebuilt by Deserialize /
+// for every kernel dispatch table, across dims x corpus sizes x thread
+// counts, including arenas rebuilt by Deserialize /
 // FromPartitions and arenas grown after a partition attach. All comparisons
 // are memcmp over serialized results; EXPECT_DOUBLE_EQ would hide exactly
 // the reassociation/FMA bugs this layer can have.
@@ -138,8 +138,9 @@ SketchIndex::DistanceMatrix ReferenceAllPairs(const SketchIndex& index) {
 TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
   const int64_t d = 24;
   const int64_t kDims[] = {3, 13, 96};
-  const int64_t kCorpus[] = {1, 7, 8, 100};
-  const int kShards[] = {1, 4, 16};
+  // 300 spans several fixed-grain scan tasks (the last one partial), so
+  // the pool-parallel split and merge run too.
+  const int64_t kCorpus[] = {1, 7, 8, 100, 300};
   ThreadPool pool1(1), pool2(2), pool7(7);
   ThreadPool* const pools[] = {&pool1, &pool2, &pool7};
 
@@ -149,7 +150,7 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
     const PrivateSketch query =
         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 9999);
     std::vector<std::pair<std::string, PrivateSketch>> corpus;
-    for (int64_t i = 0; i < 100; ++i) {
+    for (int64_t i = 0; i < 300; ++i) {
       corpus.emplace_back("item-" + std::to_string(i),
                           sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
                                           static_cast<uint64_t>(1 + i)));
@@ -158,7 +159,7 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
     for (const int64_t n : kCorpus) {
       // Reference results from the per-entry scalar path (plain C++, no
       // kernel dispatch involved), computed once per (dim, corpus).
-      SketchIndex ref_index(1);
+      SketchIndex ref_index;
       ASSERT_TRUE(ref_index
                       .AddBatch({corpus.begin(), corpus.begin() + n})
                       .ok());
@@ -175,32 +176,27 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
       const SketchIndex::DistanceMatrix ref_matrix =
           ReferenceAllPairs(ref_index);
 
-      for (const int shards : kShards) {
-        SketchIndex index(shards);
-        ASSERT_TRUE(
-            index.AddBatch({corpus.begin(), corpus.begin() + n}).ok());
-        for (const KernelOps* table : AllTables()) {
-          KernelOverride pin(table);
-          for (ThreadPool* pool : pools) {
-            SCOPED_TRACE(std::string("k=") + std::to_string(k) +
-                         " n=" + std::to_string(n) +
-                         " shards=" + std::to_string(shards) + " table=" +
-                         table->name +
-                         " threads=" + std::to_string(pool->num_threads()));
-            for (const int64_t top_n : kTopNs) {
-              const auto got = index.NearestNeighbors(query, top_n, pool);
-              ASSERT_TRUE(got.ok()) << got.status();
-              EXPECT_EQ(NeighborBytes(*got),
-                        NeighborBytes(ReferenceNearest(ref_scan, top_n)));
-            }
-            const auto hits = index.RangeQuery(query, radius, pool);
-            ASSERT_TRUE(hits.ok()) << hits.status();
-            EXPECT_EQ(NeighborBytes(*hits),
-                      NeighborBytes(ReferenceRange(ref_scan, radius)));
-            const auto matrix = index.AllPairsDistances(pool);
-            ASSERT_TRUE(matrix.ok()) << matrix.status();
-            EXPECT_TRUE(MatrixBytesEqual(*matrix, ref_matrix));
+      SketchIndex index;
+      ASSERT_TRUE(index.AddBatch({corpus.begin(), corpus.begin() + n}).ok());
+      for (const KernelOps* table : AllTables()) {
+        KernelOverride pin(table);
+        for (ThreadPool* pool : pools) {
+          SCOPED_TRACE(std::string("k=") + std::to_string(k) +
+                       " n=" + std::to_string(n) + " table=" + table->name +
+                       " threads=" + std::to_string(pool->num_threads()));
+          for (const int64_t top_n : kTopNs) {
+            const auto got = index.NearestNeighbors(query, top_n, pool);
+            ASSERT_TRUE(got.ok()) << got.status();
+            EXPECT_EQ(NeighborBytes(*got),
+                      NeighborBytes(ReferenceNearest(ref_scan, top_n)));
           }
+          const auto hits = index.RangeQuery(query, radius, pool);
+          ASSERT_TRUE(hits.ok()) << hits.status();
+          EXPECT_EQ(NeighborBytes(*hits),
+                    NeighborBytes(ReferenceRange(ref_scan, radius)));
+          const auto matrix = index.AllPairsDistances(pool);
+          ASSERT_TRUE(matrix.ok()) << matrix.status();
+          EXPECT_TRUE(MatrixBytesEqual(*matrix, ref_matrix));
         }
       }
     }
@@ -221,21 +217,20 @@ TEST(ScanEngineTest, AddAfterAttachKeepsArenaConsistent) {
   const PrivateSketch query =
       sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 9999);
 
-  SketchIndex owned(4);
+  SketchIndex owned;
   ASSERT_TRUE(owned.AddBatch({corpus.begin(), corpus.begin() + 10}).ok());
   EngineOptions options;
   options.sketcher = Config(k);
   options.threads = 2;
-  options.num_shards = 4;
   options.serving_threads = 1;
   auto engine = Engine::FromIndex(std::move(owned), options).value();
 
-  SketchIndex partition(2);
+  SketchIndex partition;
   ASSERT_TRUE(
       partition.AddBatch({corpus.begin() + 10, corpus.begin() + 20}).ok());
   ASSERT_TRUE(engine->AttachPartition(std::move(partition)).ok());
-  // Inserts after the attach grow the owned index's arenas while the
-  // partition's stay frozen — both must keep scanning correctly.
+  // Inserts after the attach grow the owned index's arena while the
+  // partition's stays frozen — both must keep scanning correctly.
   for (int64_t i = 20; i < 30; ++i) {
     ASSERT_TRUE(engine->Insert(corpus[static_cast<size_t>(i)].first,
                                corpus[static_cast<size_t>(i)].second)
@@ -244,7 +239,7 @@ TEST(ScanEngineTest, AddAfterAttachKeepsArenaConsistent) {
 
   // Reference: the per-entry path over one monolithic index holding the
   // whole served corpus in the engine's id order.
-  SketchIndex monolith(1);
+  SketchIndex monolith;
   std::vector<std::pair<std::string, PrivateSketch>> in_engine_order;
   for (const std::string& id : engine->ids()) {
     for (const auto& item : corpus) {
@@ -270,12 +265,61 @@ TEST(ScanEngineTest, AddAfterAttachKeepsArenaConsistent) {
   }
 }
 
+TEST(ScanEngineTest, SegmentedAllPairsMatchesMergedIndexAcrossSeams) {
+  const int64_t d = 24;
+  const int64_t k = 13;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
+  Rng rng(DeriveSeed(kTestSeed, 99));
+  // An owned index of 5, then partitions of 1, 7, 9 and 16: the segment
+  // seams (5, 6, 13, 22) all fall mid-block.
+  const int64_t kOwned = 5;
+  const int64_t kPartitionSizes[] = {1, 7, 9, 16};
+  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  for (int64_t i = 0; i < 38; ++i) {
+    corpus.emplace_back("seg-" + std::to_string((i * 17) % 38),
+                        sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                        static_cast<uint64_t>(1 + i)));
+  }
+  SketchIndex merged;
+  ASSERT_TRUE(merged.AddBatch(corpus).ok());
+  const SketchIndex::DistanceMatrix reference = ReferenceAllPairs(merged);
+
+  for (const int threads : {1, 2, 7}) {
+    EngineOptions options;
+    options.sketcher = Config(k);
+    options.threads = threads;
+    options.serving_threads = 1;
+    SketchIndex owned;
+    ASSERT_TRUE(
+        owned.AddBatch({corpus.begin(), corpus.begin() + kOwned}).ok());
+    auto engine = Engine::FromIndex(std::move(owned), options).value();
+    auto next = corpus.begin() + kOwned;
+    for (const int64_t size : kPartitionSizes) {
+      SketchIndex partition;
+      ASSERT_TRUE(partition.AddBatch({next, next + size}).ok());
+      ASSERT_TRUE(engine->AttachPartition(std::move(partition)).ok());
+      next += size;
+    }
+    ASSERT_EQ(engine->ids(), merged.ids());
+    for (const KernelOps* table : AllTables()) {
+      KernelOverride pin(table);
+      SCOPED_TRACE(std::string("table=") + table->name +
+                   " threads=" + std::to_string(threads));
+      const auto matrix = engine->AllPairsDistances();
+      ASSERT_TRUE(matrix.ok()) << matrix.status();
+      EXPECT_TRUE(
+          MatrixBytesEqual(*matrix, merged.AllPairsDistances().value()));
+      EXPECT_TRUE(MatrixBytesEqual(*matrix, reference));
+    }
+  }
+}
+
 TEST(ScanEngineTest, DeserializeAndFromPartitionsRebuildArenas) {
   const int64_t d = 24;
   const int64_t k = 13;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
   Rng rng(DeriveSeed(kTestSeed, 88));
-  SketchIndex index(16);
+  SketchIndex index;
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(index
                     .Add("s-" + std::to_string(i),
@@ -293,7 +337,7 @@ TEST(ScanEngineTest, DeserializeAndFromPartitionsRebuildArenas) {
       SketchIndex::Deserialize(index.Serialize()).value();
   const auto exported = index.ExportPartitions(3).value();
   const SketchIndex merged =
-      SketchIndex::FromPartitions(exported.manifest, exported.partitions, 5)
+      SketchIndex::FromPartitions(exported.manifest, exported.partitions)
           .value();
   // Arenas rebuilt through two different ingestion paths must scan
   // byte-identically to the original and to the per-entry reference.
@@ -323,7 +367,7 @@ TEST(ScanEngineTest, IncompatibleQueryFailsWithTheEstimatorError) {
   other.projection_seed = kTestSeed + 1;
   const PrivateSketcher alien = MakeSketcherOrDie(d, other);
   Rng rng(kTestSeed);
-  SketchIndex index(4);
+  SketchIndex index;
   ASSERT_TRUE(
       index.Add("a", stored.Sketch(DenseGaussianVector(d, 1.0, &rng), 1)).ok());
   const PrivateSketch query =
@@ -359,7 +403,7 @@ TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
     EXPECT_EQ(EstimateInnerProduct(a, b).value(),
               0.5 * (EstimateSquaredNorm(a) + EstimateSquaredNorm(b) - dist));
     // The index serves norm estimates from the arena's cached copies.
-    SketchIndex index(4);
+    SketchIndex index;
     ASSERT_TRUE(index.Add("a", a).ok());
     ASSERT_TRUE(index.Add("b", b).ok());
     const std::vector<double> norms = index.SquaredNormEstimates();

@@ -122,8 +122,8 @@ void Usage(std::ostream& out) {
          "            sparse-uniform --k-override K --s-override S\n"
          "            --noise auto|laplace|gaussian|none\n"
          "            --placement output|input|post-hadamard\n"
-         "  serving:  --threads T (0 = all cores) --shards N\n"
-         "            --serving-threads T --queue-capacity N\n"
+         "  serving:  --threads T (0 = all cores) --serving-threads T\n"
+         "            --queue-capacity N\n"
          "            --tenant-quota N (0 = unlimited) --deadline-ms MS\n"
          "            --tenant-rate N (admitted requests/s per tenant,\n"
          "            token bucket, 0 = unmetered)\n"
@@ -826,21 +826,17 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
     }
     return 0;
   }
-  if (HasSnapshotMagic(*bytes)) {
-    auto envelope = DecodeSnapshot(*bytes);
-    if (!envelope.ok()) {
-      std::cerr << envelope.status() << "\n";
-      return 1;
-    }
-    std::printf("format\tsnapshot-envelope v%u\n", envelope->version);
-    std::printf("payload_kind\t%s\n",
-                envelope->kind == SnapshotKind::kIndex ? "index" : "manifest");
-    std::printf("payload_bytes\t%zu\n", envelope->payload.size());
-    std::printf("payload_checksum\t%016llx\n",
-                static_cast<unsigned long long>(envelope->checksum));
-  } else {
-    std::printf("format\tv0 (legacy, pre-envelope; no checksum)\n");
+  auto envelope = DecodeSnapshot(*bytes);
+  if (!envelope.ok()) {
+    std::cerr << envelope.status() << "\n";
+    return 1;
   }
+  std::printf("format\tsnapshot-envelope v%u\n", envelope->version);
+  std::printf("payload_kind\t%s\n",
+              envelope->kind == SnapshotKind::kIndex ? "index" : "manifest");
+  std::printf("payload_bytes\t%zu\n", envelope->payload.size());
+  std::printf("payload_checksum\t%016llx\n",
+              static_cast<unsigned long long>(envelope->checksum));
   auto index = SketchIndex::Deserialize(*bytes);
   if (!index.ok()) {
     std::cerr << index.status() << "\n";
