@@ -145,7 +145,7 @@ SketchIndex::DistanceMatrix PerEntryAllPairs(const SketchIndex& index) {
   const int64_t n = static_cast<int64_t>(matrix.ids.size());
   matrix.values.assign(static_cast<size_t>(n * n), 0.0);
   for (int64_t i = 0; i < n; ++i) {
-    const PrivateSketch& a = *index.Find(matrix.ids[static_cast<size_t>(i)]);
+    const PrivateSketch a = *index.Find(matrix.ids[static_cast<size_t>(i)]);
     for (int64_t j = i + 1; j < n; ++j) {
       const double dist =
           EstimateSquaredDistance(a, *index.Find(matrix.ids[static_cast<size_t>(j)]))

@@ -305,7 +305,6 @@ Engine::Engine(EngineOptions options, std::optional<PrivateSketcher> sketcher,
                SketchIndex index)
     : options_(std::move(options)),
       sketcher_(std::move(sketcher)),
-      index_(std::move(index)),
       queue_(std::make_shared<RequestQueue>(
           options_.queue_capacity, options_.tenant_quota,
           std::chrono::milliseconds(options_.starvation_age_ms),
@@ -314,6 +313,7 @@ Engine::Engine(EngineOptions options, std::optional<PrivateSketcher> sketcher,
       options_.threads == 0 ? ThreadPool::DefaultThreadCount() : options_.threads;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   if (sketcher_) batcher_.emplace(&*sketcher_, pool_.get(), options_.batch_grain);
+  segments_.emplace_back(kOwnedSegment, std::move(index));
 }
 
 void Engine::EnsureServing() {
@@ -358,19 +358,19 @@ Result<std::vector<PrivateSketch>> Engine::SketchBatch(
   return batcher_->BatchSketch(xs, base_noise_seed);
 }
 
-Status Engine::Insert(std::string id, PrivateSketch sketch) {
+Status Engine::Insert(std::string id, const PrivateSketch& sketch) {
   WriterLock lock(index_mutex_);
-  if (!partitions_.empty()) {
+  if (segments_.size() > 1) {
     DPJL_RETURN_IF_ERROR(CheckInsertLocked(id, sketch.metadata(),
                                            CorpusFingerprintLocked()));
   }
-  return index_.Add(std::move(id), std::move(sketch));
+  return segments_.front().second.Add(std::move(id), sketch);
 }
 
 Status Engine::InsertBatch(
     std::vector<std::pair<std::string, PrivateSketch>> items) {
   WriterLock lock(index_mutex_);
-  if (!partitions_.empty()) {
+  if (segments_.size() > 1) {
     // The corpus fingerprint is loop-invariant under the write lock;
     // compute it once for the whole batch.
     const uint64_t corpus = CorpusFingerprintLocked();
@@ -379,7 +379,7 @@ Status Engine::InsertBatch(
           CheckInsertLocked(item.first, item.second.metadata(), corpus));
     }
   }
-  return index_.AddBatch(std::move(items));
+  return segments_.front().second.AddBatch(std::move(items));
 }
 
 Status Engine::CheckInsertLocked(const std::string& id,
@@ -388,8 +388,8 @@ Status Engine::CheckInsertLocked(const std::string& id,
   // The owned index validates against itself; with partitions attached the
   // corpus is wider, so uniqueness and compatibility must hold across them
   // too (one hash lookup per partition, one fingerprint comparison).
-  for (const auto& partition : partitions_) {
-    if (partition.second.Find(id) != nullptr) {
+  for (size_t s = 1; s < segments_.size(); ++s) {
+    if (segments_[s].second.Contains(id)) {
       return Status::InvalidArgument(
           "duplicate sketch id (served by an attached partition): " + id);
     }
@@ -409,24 +409,24 @@ Status Engine::InsertVector(std::string id, const std::vector<double>& x,
 
 int64_t Engine::index_size() const {
   ReaderLock lock(index_mutex_);
-  int64_t total = index_.size();
-  for (const auto& partition : partitions_) total += partition.second.size();
+  int64_t total = 0;
+  for (const auto& segment : segments_) total += segment.second.size();
   return total;
 }
 
 std::vector<std::string> Engine::ids() const {
   ReaderLock lock(index_mutex_);
-  std::vector<std::string> all = index_.ids();
-  for (const auto& partition : partitions_) {
-    const std::vector<std::string>& part_ids = partition.second.ids();
-    all.insert(all.end(), part_ids.begin(), part_ids.end());
+  std::vector<std::string> all;
+  for (const auto& segment : segments_) {
+    const std::vector<std::string>& segment_ids = segment.second.ids();
+    all.insert(all.end(), segment_ids.begin(), segment_ids.end());
   }
   return all;
 }
 
 std::string Engine::SerializeIndex() const {
   ReaderLock lock(index_mutex_);
-  return index_.Serialize();
+  return segments_.front().second.Serialize();
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
@@ -440,9 +440,9 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
   if (top_n < 1) {
     return Status::InvalidArgument("top_n must be >= 1");
   }
-  // Scatter: the owned index and each partition produce their own top_n
-  // (each a blocked arena scan, pool-parallel across its blocks in turn).
-  // The global top_n is contained in the union of the per-partition top_n
+  // Scatter: every segment produces its own top_n (each a blocked arena
+  // scan, pool-parallel across its blocks in turn).
+  // The global top_n is contained in the union of the per-segment top_n
   // lists, so gathering them through the same deterministic (distance, id)
   // bounded top-k the arena scans use is byte-identical to scanning one
   // merged index. The cancel token is polled between partition scans: a
@@ -452,20 +452,15 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
               bool (*)(const SketchIndex::Neighbor&,
                        const SketchIndex::Neighbor&)>
       gather(top_n, SketchIndex::NeighborLess);
-  const auto scatter = [&](const SketchIndex& part) -> Status {
+  for (const auto& segment : segments_) {
     if (cancel.Cancelled()) {
       return Status::Cancelled("query cancelled mid partition fan-out");
     }
-    auto partial = part.NearestNeighbors(query, top_n, pool);
-    if (!partial.ok()) return partial.status();
-    for (SketchIndex::Neighbor& neighbor : *partial) {
+    DPJL_ASSIGN_OR_RETURN(std::vector<SketchIndex::Neighbor> partial,
+                          segment.second.NearestNeighbors(query, top_n, pool));
+    for (SketchIndex::Neighbor& neighbor : partial) {
       gather.Push(std::move(neighbor));
     }
-    return Status::OK();
-  };
-  DPJL_RETURN_IF_ERROR(scatter(index_));
-  for (const auto& partition : partitions_) {
-    DPJL_RETURN_IF_ERROR(scatter(partition.second));
   }
   return gather.TakeSorted();
 }
@@ -477,41 +472,31 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQueryLocked(
     return Status::Cancelled("query cancelled before its partition fan-out");
   }
   std::vector<SketchIndex::Neighbor> all;
-  const auto scatter = [&](const SketchIndex& part) -> Status {
+  for (const auto& segment : segments_) {
     if (cancel.Cancelled()) {
       return Status::Cancelled("query cancelled mid partition fan-out");
     }
-    auto partial = part.RangeQuery(query, radius_sq, pool);
-    if (!partial.ok()) return partial.status();
-    all.insert(all.end(), std::make_move_iterator(partial->begin()),
-               std::make_move_iterator(partial->end()));
-    return Status::OK();
-  };
-  DPJL_RETURN_IF_ERROR(scatter(index_));
-  for (const auto& partition : partitions_) {
-    DPJL_RETURN_IF_ERROR(scatter(partition.second));
+    DPJL_ASSIGN_OR_RETURN(std::vector<SketchIndex::Neighbor> partial,
+                          segment.second.RangeQuery(query, radius_sq, pool));
+    all.insert(all.end(), std::make_move_iterator(partial.begin()),
+               std::make_move_iterator(partial.end()));
   }
   std::sort(all.begin(), all.end(), SketchIndex::NeighborLess);
   return all;
 }
 
-const PrivateSketch* Engine::FindLocked(const std::string& id) const {
-  if (const PrivateSketch* found = index_.Find(id)) return found;
-  for (const auto& partition : partitions_) {
-    if (const PrivateSketch* found = partition.second.Find(id)) return found;
+std::optional<PrivateSketch> Engine::FindLocked(const std::string& id) const {
+  for (const auto& segment : segments_) {
+    if (std::optional<PrivateSketch> found = segment.second.Find(id)) {
+      return found;
+    }
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 uint64_t Engine::CorpusFingerprintLocked() const {
-  if (index_.size() > 0) {
-    return CompatibilityFingerprint(index_.Find(index_.ids().front())->metadata());
-  }
-  for (const auto& partition : partitions_) {
-    const SketchIndex& part = partition.second;
-    if (part.size() > 0) {
-      return CompatibilityFingerprint(part.Find(part.ids().front())->metadata());
-    }
+  for (const auto& segment : segments_) {
+    if (segment.second.size() > 0) return segment.second.Fingerprint();
   }
   return 0;
 }
@@ -520,29 +505,30 @@ Result<int64_t> Engine::AttachPartition(SketchIndex partition) {
   WriterLock lock(index_mutex_);
   if (partition.size() > 0) {
     const uint64_t corpus = CorpusFingerprintLocked();
-    const uint64_t incoming = CompatibilityFingerprint(
-        partition.Find(partition.ids().front())->metadata());
-    if (corpus != 0 && incoming != corpus) {
+    if (corpus != 0 && partition.Fingerprint() != corpus) {
       return Status::FailedPrecondition(
           "partition is incompatible with the served corpus's projection");
     }
     for (const std::string& id : partition.ids()) {
-      if (FindLocked(id) != nullptr) {
-        return Status::InvalidArgument(
-            "partition id is already served: " + id);
+      for (const auto& segment : segments_) {
+        if (segment.second.Contains(id)) {
+          return Status::InvalidArgument(
+              "partition id is already served: " + id);
+        }
       }
     }
   }
   const int64_t handle = next_partition_handle_++;
-  partitions_.emplace_back(handle, std::move(partition));
+  segments_.emplace_back(handle, std::move(partition));
   return handle;
 }
 
 Status Engine::DetachPartition(int64_t handle) {
   WriterLock lock(index_mutex_);
-  for (auto it = partitions_.begin(); it != partitions_.end(); ++it) {
+  // Attached partitions only: the owned segment is never detached.
+  for (auto it = segments_.begin() + 1; it != segments_.end(); ++it) {
     if (it->first == handle) {
-      partitions_.erase(it);
+      segments_.erase(it);
       return Status::OK();
     }
   }
@@ -552,7 +538,7 @@ Status Engine::DetachPartition(int64_t handle) {
 
 int64_t Engine::num_partitions() const {
   ReaderLock lock(index_mutex_);
-  return static_cast<int64_t>(partitions_.size());
+  return static_cast<int64_t>(segments_.size()) - 1;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighbors(
@@ -569,21 +555,18 @@ Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQuery(
 
 Result<SketchIndex::DistanceMatrix> Engine::AllPairsDistances() const {
   ReaderLock lock(index_mutex_);
-  // The corpus is the owned index, then the partitions in attach order;
-  // the segmented matrix equals the merged index's entry for entry.
-  std::vector<const SketchIndex*> segments{&index_};
-  for (const auto& partition : partitions_) {
-    segments.push_back(&partition.second);
-  }
+  // The segmented matrix equals the merged index's entry for entry.
+  std::vector<const SketchIndex*> segments;
+  for (const auto& segment : segments_) segments.push_back(&segment.second);
   return SketchIndex::AllPairsAcross(segments, pool_.get());
 }
 
 Result<double> Engine::SquaredDistance(const std::string& id_a,
                                        const std::string& id_b) const {
   ReaderLock lock(index_mutex_);
-  const PrivateSketch* a = FindLocked(id_a);
-  const PrivateSketch* b = FindLocked(id_b);
-  if (a == nullptr || b == nullptr) {
+  const std::optional<PrivateSketch> a = FindLocked(id_a);
+  const std::optional<PrivateSketch> b = FindLocked(id_b);
+  if (!a.has_value() || !b.has_value()) {
     return Status::NotFound("unknown sketch id");
   }
   return EstimateSquaredDistance(*a, *b);
@@ -591,7 +574,9 @@ Result<double> Engine::SquaredDistance(const std::string& id_a,
 
 Result<PrivateSketch> Engine::GetSketch(const std::string& id) const {
   ReaderLock lock(index_mutex_);
-  if (const PrivateSketch* found = FindLocked(id)) return *found;
+  if (std::optional<PrivateSketch> found = FindLocked(id)) {
+    return std::move(*found);
+  }
   return Status::NotFound("unknown sketch id: " + id);
 }
 

@@ -310,7 +310,7 @@ class Engine {
       uint64_t base_noise_seed) const;
 
   /// Inserts into the owned index (exclusive; concurrent queries wait).
-  Status Insert(std::string id, PrivateSketch sketch);
+  Status Insert(std::string id, const PrivateSketch& sketch);
 
   /// Bulk insertion via SketchIndex::AddBatch: one compatibility check and
   /// one write-lock acquisition for the whole batch, all-or-nothing.
@@ -341,7 +341,8 @@ class Engine {
   Result<int64_t> AttachPartition(SketchIndex partition);
 
   /// Removes a previously attached partition; kNotFound for a handle that
-  /// was never issued or is already detached.
+  /// was never issued or is already detached (the owned index is never
+  /// detached).
   Status DetachPartition(int64_t handle);
 
   /// Number of currently attached partitions.
@@ -458,8 +459,8 @@ class Engine {
       const CancelToken& cancel = CancelToken()) const
       REQUIRES_SHARED(index_mutex_);
 
-  /// Lookup across the owned index and every attached partition.
-  const PrivateSketch* FindLocked(const std::string& id) const
+  /// Copy of the sketch for `id` from the first segment holding it.
+  std::optional<PrivateSketch> FindLocked(const std::string& id) const
       REQUIRES_SHARED(index_mutex_);
 
   /// CompatibilityFingerprint of the served corpus (0 when empty).
@@ -511,12 +512,16 @@ class Engine {
   std::unique_ptr<ThreadPool> pool_;
   std::optional<BatchSketcher> batcher_;
 
+  /// Handle of segment 0, which no AttachPartition ever returns.
+  static constexpr int64_t kOwnedSegment = 0;
+
   mutable SharedMutex index_mutex_;
-  SketchIndex index_ GUARDED_BY(index_mutex_);
-  /// Attached read-only partitions, in attach order, with their handles.
-  std::vector<std::pair<int64_t, SketchIndex>> partitions_
+  /// The served corpus, in scan order, with detach handles: segment 0 is
+  /// the owned index (Insert/SerializeIndex target, never detached), then
+  /// the attached read-only partitions in attach order.
+  std::vector<std::pair<int64_t, SketchIndex>> segments_
       GUARDED_BY(index_mutex_);
-  int64_t next_partition_handle_ GUARDED_BY(index_mutex_) = 1;
+  int64_t next_partition_handle_ GUARDED_BY(index_mutex_) = kOwnedSegment + 1;
 
   /// shared_ptr so futures can hold a weak reference for Cancel() that
   /// outlives the engine safely.

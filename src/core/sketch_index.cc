@@ -46,16 +46,16 @@ bool SketchIndex::NeighborLess(const Neighbor& a, const Neighbor& b) {
   return a.id < b.id;
 }
 
-Status SketchIndex::Add(std::string id, PrivateSketch sketch) {
-  if (ordinals_.count(id) > 0) {
+Status SketchIndex::Add(std::string id, const PrivateSketch& sketch) {
+  if (Contains(id)) {
     return Status::InvalidArgument("duplicate sketch id: " + id);
   }
-  if (!sketches_.empty() &&
-      !sketches_.front().metadata().CompatibleWith(sketch.metadata())) {
+  if (!metadata_.empty() &&
+      !metadata_.front().CompatibleWith(sketch.metadata())) {
     return Status::FailedPrecondition(
         "sketch is incompatible with the index's projection");
   }
-  AppendEntry(std::move(id), std::move(sketch));
+  AppendEntry(std::move(id), sketch);
   return Status::OK();
 }
 
@@ -91,11 +91,23 @@ const double* SketchIndex::SketchArena::BlockAt(int64_t block) const {
   return values.data() + block * dim * kSketchBlockWidth;
 }
 
-void SketchIndex::AppendEntry(std::string id, PrivateSketch sketch) {
+void SketchIndex::SketchArena::CopyLane(int64_t ordinal, double* out) const {
+  const double* lane =
+      BlockAt(ordinal / kSketchBlockWidth) + ordinal % kSketchBlockWidth;
+  for (int64_t j = 0; j < dim; ++j) out[j] = lane[j * kSketchBlockWidth];
+}
+
+PrivateSketch SketchIndex::SketchAt(size_t ordinal) const {
+  std::vector<double> values(static_cast<size_t>(arena_.dim));
+  arena_.CopyLane(static_cast<int64_t>(ordinal), values.data());
+  return PrivateSketch(std::move(values), metadata_[ordinal]);
+}
+
+void SketchIndex::AppendEntry(std::string id, const PrivateSketch& sketch) {
   ordinals_.emplace(id, ids_.size());
   ids_.push_back(std::move(id));
   arena_.Append(sketch);
-  sketches_.push_back(std::move(sketch));
+  metadata_.push_back(sketch.metadata());
 }
 
 Status SketchIndex::AddBatch(
@@ -104,9 +116,9 @@ Status SketchIndex::AddBatch(
   // One reference metadata for the whole batch: the projection already
   // stored, or the batch's own first sketch on an empty index. Every item
   // checks against it once — no per-insert rescan of the stored state.
-  const SketchMetadata& reference = sketches_.empty()
+  const SketchMetadata& reference = metadata_.empty()
                                         ? items.front().second.metadata()
-                                        : sketches_.front().metadata();
+                                        : metadata_.front();
   std::unordered_map<std::string, size_t> batch_ids;
   batch_ids.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -114,7 +126,7 @@ Status SketchIndex::AddBatch(
     if (!batch_ids.emplace(id, i).second) {
       return Status::InvalidArgument("duplicate sketch id in batch: " + id);
     }
-    if (ordinals_.count(id) > 0) {
+    if (Contains(id)) {
       return Status::InvalidArgument("duplicate sketch id: " + id);
     }
     if (!reference.CompatibleWith(items[i].second.metadata())) {
@@ -126,29 +138,34 @@ Status SketchIndex::AddBatch(
   // Validated: commit the whole batch (no fallible step below).
   ids_.reserve(ids_.size() + items.size());
   for (auto& item : items) {
-    AppendEntry(std::move(item.first), std::move(item.second));
+    AppendEntry(std::move(item.first), item.second);
   }
   return Status::OK();
 }
 
-const PrivateSketch* SketchIndex::Find(const std::string& id) const {
+std::optional<PrivateSketch> SketchIndex::Find(const std::string& id) const {
   auto it = ordinals_.find(id);
-  return it == ordinals_.end() ? nullptr : &sketches_[it->second];
+  if (it == ordinals_.end()) return std::nullopt;
+  return SketchAt(it->second);
+}
+
+uint64_t SketchIndex::Fingerprint() const {
+  return metadata_.empty() ? 0 : CompatibilityFingerprint(metadata_.front());
 }
 
 Result<double> SketchIndex::SquaredDistance(const std::string& id_a,
                                             const std::string& id_b) const {
-  const PrivateSketch* a = Find(id_a);
-  const PrivateSketch* b = Find(id_b);
-  if (a == nullptr || b == nullptr) {
+  auto a = ordinals_.find(id_a);
+  auto b = ordinals_.find(id_b);
+  if (a == ordinals_.end() || b == ordinals_.end()) {
     return Status::NotFound("unknown sketch id");
   }
-  return EstimateSquaredDistance(*a, *b);
+  return EstimateSquaredDistance(SketchAt(a->second), SketchAt(b->second));
 }
 
 Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
-  if (sketches_.empty()) return Status::OK();
-  if (!sketches_.front().metadata().CompatibleWith(query.metadata())) {
+  if (metadata_.empty()) return Status::OK();
+  if (!metadata_.front().CompatibleWith(query.metadata())) {
     // The exact message the per-pair estimator returns: one up-front check
     // replaces its per-entry checks without changing the error surface
     // (stored sketches are mutually compatible by the Add invariant).
@@ -278,8 +295,8 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
   const SketchMetadata* reference = nullptr;
   DistanceMatrix matrix;
   for (const SketchIndex* segment : segments) {
-    if (!segment->sketches_.empty()) {
-      const SketchMetadata& first = segment->sketches_.front().metadata();
+    if (!segment->metadata_.empty()) {
+      const SketchMetadata& first = segment->metadata_.front();
       if (reference == nullptr) {
         reference = &first;
       } else if (!reference->CompatibleWith(first)) {
@@ -299,20 +316,24 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
 
   // Row i owns every pair (i, j), j > i, and mirrors it into (j, i); each
   // cell is written by exactly one row task, so rows parallelize freely.
-  // Tiles of kSketchBlockWidth rows walk each segment's arena blocks
+  // Tiles of kSketchBlockWidth rows, gathered out of their arena lanes
+  // into one contiguous buffer, walk each segment's arena blocks
   // outer-loop first, so one block (k*8 doubles) stays cache-hot across
   // the whole row tile. The kernels never mix lanes, so a cell's value
   // depends only on its row and column sketches — not on the tiling, the
   // segment seams, or which other columns share its block.
   ThreadPool::Run(pool, 0, n, kSketchBlockWidth, [&](int64_t begin,
                                                      int64_t end) {
-    const PrivateSketch* rows[kSketchBlockWidth];
+    std::vector<double> rows(static_cast<size_t>(kSketchBlockWidth * k));
+    double row_centers[kSketchBlockWidth];
     for (int64_t i = begin; i < end; ++i) {
       const size_t s = static_cast<size_t>(
           std::upper_bound(offsets.begin(), offsets.end(), i) -
           offsets.begin() - 1);
-      rows[i - begin] =
-          &segments[s]->sketches_[static_cast<size_t>(i - offsets[s])];
+      const SketchArena& arena = segments[s]->arena_;
+      arena.CopyLane(i - offsets[s], rows.data() + (i - begin) * k);
+      row_centers[i - begin] =
+          arena.noise_centers[static_cast<size_t>(i - offsets[s])];
     }
     double dist[kSketchBlockWidth];
     for (size_t s = 0; s < segments.size(); ++s) {
@@ -327,9 +348,8 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
             arena.noise_centers.data() + b * kSketchBlockWidth;
         for (int64_t i = begin; i < end; ++i) {
           if (i + 1 >= col_base + col_width) continue;  // no j > i here
-          const PrivateSketch& row = *rows[i - begin];
-          EstimateSquaredDistanceBlock(row.values().data(), k,
-                                       row.metadata().noise_center,
+          EstimateSquaredDistanceBlock(rows.data() + (i - begin) * k, k,
+                                       row_centers[i - begin],
                                        arena.BlockAt(b), centers, col_width,
                                        dist);
           for (int64_t j = std::max(col_base, i + 1);
@@ -349,7 +369,7 @@ std::string SketchIndex::SerializeRange(size_t begin, size_t end) const {
   AppendU64(&out, static_cast<uint64_t>(end - begin));
   for (size_t i = begin; i < end; ++i) {
     const std::string& id = ids_[i];
-    const std::string blob = sketches_[i].Serialize();
+    const std::string blob = SketchAt(i).Serialize();
     AppendU64(&out, id.size());
     out.append(id);
     AppendU64(&out, blob.size());
@@ -399,7 +419,7 @@ Result<SketchIndex> SketchIndex::DecodeRecords(const std::string& bytes) {
     DPJL_ASSIGN_OR_RETURN(PrivateSketch sketch, PrivateSketch::Deserialize(
                                                     bytes.substr(offset, blob_len)));
     offset += blob_len;
-    DPJL_RETURN_IF_ERROR(index.Add(std::move(id), std::move(sketch)));
+    DPJL_RETURN_IF_ERROR(index.Add(std::move(id), sketch));
   }
   if (offset != bytes.size()) {
     return Status::DataLoss("trailing bytes after index payload");
@@ -416,8 +436,7 @@ Result<SketchIndex::PartitionedSnapshot> SketchIndex::ExportPartitions(
   const size_t k = static_cast<size_t>(num_partitions);
   PartitionedSnapshot snapshot;
   snapshot.manifest.total_count = static_cast<int64_t>(n);
-  snapshot.manifest.fingerprint =
-      n == 0 ? 0 : CompatibilityFingerprint(sketches_.front().metadata());
+  snapshot.manifest.fingerprint = Fingerprint();
   snapshot.manifest.partitions.reserve(k);
   snapshot.partitions.reserve(k);
   for (size_t p = 0; p < k; ++p) {
@@ -476,9 +495,7 @@ Result<SketchIndex> SketchIndex::FromPartitions(
       // One fingerprint comparison vouches for the whole partition: its
       // own Deserialize already proved internal compatibility, so no
       // sketch metadata is re-scanned here.
-      const uint64_t fingerprint =
-          CompatibilityFingerprint(part.sketches_.front().metadata());
-      if (fingerprint != manifest.fingerprint) {
+      if (part.Fingerprint() != manifest.fingerprint) {
         return Status::FailedPrecondition(
             "partition " + std::to_string(p) +
             " was built under a different projection than the manifest's "
@@ -486,12 +503,11 @@ Result<SketchIndex> SketchIndex::FromPartitions(
       }
     }
     for (size_t i = 0; i < part.ids_.size(); ++i) {
-      if (merged.ordinals_.count(part.ids_[i]) > 0) {
+      if (merged.Contains(part.ids_[i])) {
         return Status::InvalidArgument(
             "duplicate sketch id across partitions: " + part.ids_[i]);
       }
-      merged.AppendEntry(std::move(part.ids_[i]),
-                         std::move(part.sketches_[i]));
+      merged.AppendEntry(std::move(part.ids_[i]), part.SketchAt(i));
     }
   }
   if (merged.size() != manifest.total_count) {

@@ -2,7 +2,7 @@
 #define DPJL_CORE_SKETCH_INDEX_H_
 
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -21,11 +21,12 @@ namespace dpjl {
 /// one reusable component.
 ///
 /// Storage is one insertion-ordered store: `ids()` order, an id -> ordinal
-/// map, a deque of the canonical PrivateSketch objects (so Find() pointers
-/// stay stable across later insertions) and one *sketch arena* — a
+/// map, each sketch's metadata by ordinal, and one *sketch arena* — a
 /// contiguous, lane-interleaved (kSketchBlockWidth-wide, the kernels.h
-/// column-block layout) SoA mirror of the sketch values plus parallel
-/// arrays of cached raw squared norms and noise centers. Queries scan the
+/// column-block layout) SoA store of the sketch values plus parallel arrays
+/// of cached raw squared norms and noise centers. The arena is the only
+/// copy of the values: Find() rebuilds a PrivateSketch from its lane, bit
+/// for bit the sketch that was added. Queries scan the
 /// arena with the multi-candidate distance kernels, eight candidates per
 /// pass; with a ThreadPool they split it into fixed-grain block ranges and
 /// merge by the deterministic (distance, id) order. The arena grows
@@ -47,23 +48,27 @@ namespace dpjl {
 class SketchIndex {
  public:
   /// Inserts `sketch` under `id`. Fails if the id exists or the sketch is
-  /// incompatible with those already stored. Pointers previously returned
-  /// by Find() remain valid (deque storage).
-  Status Add(std::string id, PrivateSketch sketch);
+  /// incompatible with those already stored.
+  Status Add(std::string id, const PrivateSketch& sketch);
 
   /// Bulk ingestion: validates the whole batch up front — ids distinct
   /// within the batch and absent from the index, every sketch compatible
   /// with one reference (the stored projection, or the batch's first item
   /// on an empty index) — then appends it in one pass, without the
   /// per-Add compatibility rescan. All-or-nothing: on any non-OK status
-  /// the index is unchanged. Pointers previously returned by Find() remain
-  /// valid. Insertion order is the batch order.
+  /// the index is unchanged. Insertion order is the batch order.
   Status AddBatch(std::vector<std::pair<std::string, PrivateSketch>> items);
 
   int64_t size() const { return static_cast<int64_t>(ids_.size()); }
 
-  /// Pointer to a stored sketch, or nullptr. Stable across Add().
-  const PrivateSketch* Find(const std::string& id) const;
+  /// A copy of the stored sketch, rebuilt from the arena (values, metadata
+  /// and serialized bytes identical to what was added), or nullopt.
+  std::optional<PrivateSketch> Find(const std::string& id) const;
+
+  bool Contains(const std::string& id) const { return ordinals_.count(id) > 0; }
+
+  /// CompatibilityFingerprint of the stored projection; 0 when empty.
+  uint64_t Fingerprint() const;
 
   /// Unbiased estimate of ||x_a - x_b||_2^2 between two stored sketches.
   Result<double> SquaredDistance(const std::string& id_a,
@@ -187,7 +192,13 @@ class SketchIndex {
     void Append(const PrivateSketch& sketch);
     int64_t blocks() const;
     const double* BlockAt(int64_t block) const;
+    /// Writes entry `ordinal`'s dim values, in coordinate order, to `out`.
+    void CopyLane(int64_t ordinal, double* out) const;
   };
+
+  /// The sketch stored at `ordinal`, rebuilt from its arena lane and
+  /// metadata.
+  PrivateSketch SketchAt(size_t ordinal) const;
 
   /// FailedPrecondition (the estimator's exact incompatibility message)
   /// unless `query` is compatible with the stored projection — one check
@@ -211,7 +222,7 @@ class SketchIndex {
   /// Appends an entry assuming the caller already established id
   /// uniqueness and sketch compatibility (Add/AddBatch validation, or a
   /// manifest fingerprint in FromPartitions).
-  void AppendEntry(std::string id, PrivateSketch sketch);
+  void AppendEntry(std::string id, const PrivateSketch& sketch);
 
   /// Record stream for ordinals [begin, end) — the envelope payload format.
   [[nodiscard]] std::string SerializeRange(size_t begin, size_t end) const;
@@ -219,12 +230,13 @@ class SketchIndex {
   /// Parses a record stream produced by SerializeRange (count + records).
   static Result<SketchIndex> DecodeRecords(const std::string& bytes);
 
-  /// The store: position i of `ids_`, `sketches_` and `arena_` is the
-  /// i-th inserted sketch; `ordinals_` maps id -> i. `sketches_` is a deque
-  /// so Find() pointers survive later insertions.
+  /// The store: position i of `ids_`, `metadata_` and `arena_` is the
+  /// i-th inserted sketch; `ordinals_` maps id -> i. Metadata stays per
+  /// ordinal because noise kind, scale, center and epsilon/delta may differ
+  /// between compatible sketches.
   std::vector<std::string> ids_;
   std::unordered_map<std::string, size_t> ordinals_;
-  std::deque<PrivateSketch> sketches_;
+  std::vector<SketchMetadata> metadata_;
   SketchArena arena_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/net/server.h"
 
+#include <chrono>
 #include <utility>
 
 #include "src/core/sketch.h"
@@ -41,37 +42,70 @@ void Server::Stop() {
     MutexLock lock(mutex_);
     if (stopping_) return;
     stopping_ = true;
-    // Shutdown before close: wakes the thread blocked in accept() / recv()
-    // immediately, where a bare close can leave it blocked.
+    // Shutdown wakes the threads blocked in accept() / recv() immediately.
+    // The descriptors close only after those threads are joined: the
+    // accept loop reads the listener's fd until it returns.
     listener_.ShutdownBoth();
-    listener_.Close();
-    for (const std::unique_ptr<Socket>& connection : connections_) {
-      connection->ShutdownBoth();
+    for (const std::unique_ptr<Connection>& connection : connections_) {
+      connection->socket.ShutdownBoth();
     }
   }
   if (acceptor_.joinable()) acceptor_.join();
-  // The accept loop is down, so readers_ can no longer grow.
-  std::vector<std::thread> readers;
+  listener_.Close();
+  // The accept loop is down, so connections_ can no longer grow.
+  std::vector<std::unique_ptr<Connection>> connections;
   {
     MutexLock lock(mutex_);
-    readers.swap(readers_);
+    connections.swap(connections_);
   }
-  for (std::thread& reader : readers) {
-    if (reader.joinable()) reader.join();
+  for (const std::unique_ptr<Connection>& connection : connections) {
+    connection->reader.join();
   }
-  MutexLock lock(mutex_);
-  connections_.clear();
+}
+
+std::vector<std::unique_ptr<Server::Connection>> Server::TakeFinishedLocked() {
+  std::vector<std::unique_ptr<Connection>> finished;
+  auto live = connections_.begin();
+  for (std::unique_ptr<Connection>& connection : connections_) {
+    if (connection->finished) {
+      finished.push_back(std::move(connection));
+    } else {
+      *live++ = std::move(connection);
+    }
+  }
+  connections_.erase(live, connections_.end());
+  return finished;
 }
 
 void Server::AcceptLoop() {
   while (true) {
     Result<Socket> accepted = AcceptConnection(listener_);
-    MutexLock lock(mutex_);
-    if (stopping_ || !accepted.ok()) return;
-    connections_.push_back(std::make_unique<Socket>(std::move(*accepted)));
-    Socket* connection = connections_.back().get();
-    readers_.emplace_back(
-        [this, connection] { ServeConnection(connection); });
+    std::vector<std::unique_ptr<Connection>> finished;
+    {
+      MutexLock lock(mutex_);
+      if (stopping_) return;
+      finished = TakeFinishedLocked();
+      if (accepted.ok()) {
+        connections_.push_back(
+            std::make_unique<Connection>(std::move(*accepted)));
+        Connection* connection = connections_.back().get();
+        connection->reader = std::thread([this, connection] {
+          ServeConnection(&connection->socket);
+          MutexLock done(mutex_);
+          connection->finished = true;
+        });
+      }
+    }
+    // Each reaped reader has already raised `finished`, its last step.
+    for (const std::unique_ptr<Connection>& connection : finished) {
+      connection->reader.join();
+    }
+    finished.clear();
+    if (accepted.ok()) continue;
+    if (accepted.status().code() != StatusCode::kResourceExhausted) return;
+    // Out of descriptors: the pending connection waits in the backlog
+    // while readers finish and later turns reap their fds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 
@@ -173,7 +207,7 @@ std::pair<MessageType, std::string> Server::Dispatch(const Frame& frame) {
               ->SubmitTask(
                   [this, id = std::move(req->id),
                    sketch = std::move(*sketch)]() mutable {
-                    return engine_->Insert(std::move(id), std::move(sketch));
+                    return engine_->Insert(std::move(id), sketch);
                   },
                   request)
               .Get();

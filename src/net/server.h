@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/annotated_mutex.h"
@@ -60,16 +61,37 @@ class Server {
   int port() const { return port_; }
   const std::string& host() const { return host_; }
 
-  /// Idempotent shutdown: closes the listener (unblocking the accept
+  /// Idempotent shutdown: shuts the listener down (unblocking the accept
   /// loop), half-closes every live connection (unblocking its reader),
-  /// and joins all threads.
+  /// joins all threads, then closes every descriptor.
   void Stop();
 
  private:
+  /// One accepted connection and the reader thread serving it. `finished`
+  /// is raised by the reader as its last step, so the accept loop can
+  /// join the thread and close the fd.
+  struct Connection {
+    explicit Connection(Socket accepted) : socket(std::move(accepted)) {}
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
+
+    Socket socket;
+    std::thread reader;
+    bool finished = false;
+  };
+
   Server(Engine* engine, std::string host);
 
+  /// Accepts until Stop(). Each turn first reaps finished connections, and
+  /// running out of descriptors backs off instead of ending the loop, so
+  /// connection churn neither leaks fds nor leaves the server deaf.
   void AcceptLoop();
   void ServeConnection(Socket* connection);
+
+  /// Removes the finished connections from `connections_` and returns
+  /// them for the caller to join outside the lock.
+  std::vector<std::unique_ptr<Connection>> TakeFinishedLocked()
+      REQUIRES(mutex_);
 
   /// Decodes `frame`, runs it through the engine, and returns the response
   /// frame to send (type + payload). Any failure becomes a kErrorResponse.
@@ -83,14 +105,14 @@ class Server {
 
   Mutex mutex_;
   bool stopping_ GUARDED_BY(mutex_) = false;
-  /// Live connection sockets behind stable pointers (the accept loop grows
-  /// this vector while readers use their entries); cleared only after all
-  /// readers joined. Stop() additionally calls ShutdownBoth on each socket
-  /// while its reader may be blocked in recv — that pairing is the one
-  /// deliberate cross-thread socket touch, and it is lock-protected here
-  /// while readers hold only their stable Socket*.
-  std::vector<std::unique_ptr<Socket>> connections_ GUARDED_BY(mutex_);
-  std::vector<std::thread> readers_ GUARDED_BY(mutex_);
+  /// Live connections behind stable pointers (the accept loop grows and
+  /// reaps this vector while readers use their entries). A Connection is
+  /// destroyed, closing its fd, only after its reader was joined. Stop()
+  /// additionally calls ShutdownBoth on each socket while its reader may be
+  /// blocked in recv — that pairing is the one deliberate cross-thread
+  /// socket touch, and it is lock-protected here while readers hold only
+  /// their stable Socket*.
+  std::vector<std::unique_ptr<Connection>> connections_ GUARDED_BY(mutex_);
 };
 
 }  // namespace net

@@ -82,7 +82,13 @@ Result<Socket> ListenOn(const std::string& host, int port, int* bound_port) {
 }
 
 Result<Socket> AcceptConnection(const Socket& listener) {
-  const int fd = ::accept(listener.fd(), nullptr, nullptr);
+  int fd = -1;
+  do {
+    fd = ::accept(listener.fd(), nullptr, nullptr);
+  } while (fd < 0 && (errno == EINTR || errno == ECONNABORTED));
+  if (fd < 0 && (errno == EMFILE || errno == ENFILE)) {
+    return Status::ResourceExhausted(Errno("accept() failed"));
+  }
   if (fd < 0) {
     return Status::Unavailable(Errno("accept() failed (listener closed?)"));
   }

@@ -65,8 +65,11 @@ class Socket {
 /// processes address each other by explicit address, not resolver state.
 Result<Socket> ListenOn(const std::string& host, int port, int* bound_port);
 
-/// Blocking accept; kUnavailable when the listener was shut down or
-/// closed (the server's stop signal).
+/// Blocking accept. A signal or a connection aborted before it was
+/// accepted is retried here; kResourceExhausted when the process or system
+/// is out of descriptors (transient: retry once some are freed);
+/// kUnavailable when the listener was shut down or closed (the server's
+/// stop signal).
 Result<Socket> AcceptConnection(const Socket& listener);
 
 /// Blocking connect with a bounded wait; kUnavailable on refusal or

@@ -371,26 +371,5 @@ TEST(ShardedIndexTest, AllPairsDistancesMatchPairwiseLoop) {
   }
 }
 
-TEST(ShardedIndexTest, FindPointersSurviveLaterAdds) {
-  const int64_t d = 64;
-  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
-  SketchIndex index;
-  Rng rng(kTestSeed);
-  ASSERT_TRUE(
-      index.Add("first", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1))
-          .ok());
-  const PrivateSketch* first = index.Find("first");
-  const std::vector<double> snapshot = first->values();
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(index
-                    .Add("more-" + std::to_string(i),
-                         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
-                                         10 + static_cast<uint64_t>(i)))
-                    .ok());
-  }
-  EXPECT_EQ(index.Find("first"), first);
-  EXPECT_EQ(first->values(), snapshot);
-}
-
 }  // namespace
 }  // namespace dpjl

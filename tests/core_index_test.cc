@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/core/estimators.h"
 #include "src/core/sketch_index.h"
 #include "src/core/sketcher.h"
+#include "src/core/snapshot.h"
 #include "src/linalg/vector_ops.h"
 #include "src/workload/generators.h"
 #include "tests/test_util.h"
@@ -31,8 +35,8 @@ TEST(SketchIndexTest, AddAndFind) {
   ASSERT_TRUE(
       index.Add("b", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 2)).ok());
   EXPECT_EQ(index.size(), 2);
-  EXPECT_NE(index.Find("a"), nullptr);
-  EXPECT_EQ(index.Find("zzz"), nullptr);
+  EXPECT_TRUE(index.Find("a").has_value());
+  EXPECT_FALSE(index.Find("zzz").has_value());
   EXPECT_EQ(index.ids(), (std::vector<std::string>{"a", "b"}));
 }
 
@@ -79,7 +83,7 @@ TEST(SketchIndexTest, AddBatchEquivalentToSequentialAdds) {
   EXPECT_EQ(bulk.size(), sequential.size());
   EXPECT_EQ(bulk.ids(), sequential.ids());
   EXPECT_EQ(bulk.Serialize(), sequential.Serialize());
-  EXPECT_NE(bulk.Find("doc-0"), nullptr);
+  EXPECT_TRUE(bulk.Find("doc-0").has_value());
 }
 
 TEST(SketchIndexTest, AddBatchIntoPopulatedIndexChecksAgainstStored) {
@@ -227,7 +231,7 @@ TEST(SketchIndexTest, SerializeRoundTrip) {
   EXPECT_EQ(decoded.size(), index.size());
   EXPECT_EQ(decoded.ids(), index.ids());
   for (const std::string& id : index.ids()) {
-    ASSERT_NE(decoded.Find(id), nullptr);
+    ASSERT_TRUE(decoded.Find(id).has_value());
     EXPECT_EQ(decoded.Find(id)->values(), index.Find(id)->values());
   }
 }
@@ -289,7 +293,7 @@ TEST(SketchIndexTest, SerializeRoundTripPropertyOverRandomIndexes) {
     ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": " << decoded.status();
     ASSERT_EQ(decoded->ids(), index.ids()) << "trial " << trial;
     for (const std::string& id : index.ids()) {
-      ASSERT_NE(decoded->Find(id), nullptr);
+      ASSERT_TRUE(decoded->Find(id).has_value());
       EXPECT_EQ(decoded->Find(id)->values(), index.Find(id)->values());
     }
     EXPECT_EQ(decoded->Serialize(), bytes);
@@ -400,6 +404,132 @@ TEST(SketchIndexTest, AllPairsDistancesSerialBasics) {
   const auto empty = SketchIndex().AllPairsDistances().value();
   EXPECT_TRUE(empty.ids.empty());
   EXPECT_TRUE(empty.values.empty());
+}
+
+TEST(SketchIndexTest, ContainsTracksStoredIdsOnly) {
+  const int64_t d = 64;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
+  Rng rng(kTestSeed);
+  SketchIndex index;
+  EXPECT_FALSE(index.Contains("a"));
+  ASSERT_TRUE(
+      index.Add("a", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1)).ok());
+  std::vector<std::pair<std::string, PrivateSketch>> items;
+  items.emplace_back("b", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 2));
+  ASSERT_TRUE(index.AddBatch(std::move(items)).ok());
+  EXPECT_TRUE(index.Contains("a"));
+  EXPECT_TRUE(index.Contains("b"));
+  EXPECT_FALSE(index.Contains("c"));
+
+  // A refused batch leaves no trace in Contains either.
+  std::vector<std::pair<std::string, PrivateSketch>> refused;
+  refused.emplace_back("c", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 3));
+  refused.emplace_back("a", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 4));
+  EXPECT_EQ(index.AddBatch(std::move(refused)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(index.Contains("c"));
+
+  const auto restored = SketchIndex::Deserialize(index.Serialize());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_TRUE(restored->Contains("a"));
+  EXPECT_TRUE(restored->Contains("b"));
+  EXPECT_FALSE(restored->Contains("c"));
+}
+
+TEST(SketchIndexTest, FingerprintIsZeroWhenEmptyAndFollowsTheStoredProjection) {
+  const int64_t d = 64;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
+  SketcherConfig other = Base();
+  other.projection_seed = kTestSeed + 1;
+  const PrivateSketcher other_sketcher = MakeSketcherOrDie(d, other);
+  Rng rng(kTestSeed);
+
+  SketchIndex index;
+  EXPECT_EQ(index.Fingerprint(), 0u);
+  const PrivateSketch first =
+      sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1);
+  ASSERT_TRUE(index.Add("a", first).ok());
+  const uint64_t fingerprint = CompatibilityFingerprint(first.metadata());
+  EXPECT_NE(fingerprint, 0u);
+  EXPECT_EQ(index.Fingerprint(), fingerprint);
+  ASSERT_TRUE(
+      index.Add("b", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 2)).ok());
+  EXPECT_EQ(index.Fingerprint(), fingerprint);
+
+  // Another projection fingerprints differently; reloads keep the value.
+  SketchIndex elsewhere;
+  ASSERT_TRUE(elsewhere
+                  .Add("a", other_sketcher.Sketch(
+                                DenseGaussianVector(d, 1.0, &rng), 3))
+                  .ok());
+  EXPECT_NE(elsewhere.Fingerprint(), fingerprint);
+  EXPECT_EQ(SketchIndex::Deserialize(index.Serialize())->Fingerprint(),
+            fingerprint);
+  const auto exported = index.ExportPartitions(2);
+  ASSERT_TRUE(exported.ok());
+  EXPECT_EQ(exported->manifest.fingerprint, fingerprint);
+}
+
+TEST(SketchIndexTest, FindKeepsEachSketchsOwnNoiseMetadata) {
+  // Compatible sketches may carry different noise: the index keeps each
+  // one's metadata by ordinal next to its arena lane.
+  const int64_t d = 64;
+  SketcherConfig laplace = Base();
+  laplace.noise_selection = SketcherConfig::NoiseSelection::kLaplace;
+  SketcherConfig gaussian = Base();
+  gaussian.epsilon = 0.5;
+  gaussian.delta = 1e-6;
+  gaussian.noise_selection = SketcherConfig::NoiseSelection::kGaussian;
+  SketcherConfig none = Base();
+  none.noise_selection = SketcherConfig::NoiseSelection::kNone;
+  Rng rng(kTestSeed);
+  std::vector<std::pair<std::string, PrivateSketch>> added;
+  for (const SketcherConfig& config : {laplace, gaussian, none, laplace}) {
+    const PrivateSketcher sketcher = MakeSketcherOrDie(d, config);
+    added.emplace_back(
+        "s" + std::to_string(added.size()),
+        sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                        10 + static_cast<uint64_t>(added.size())));
+  }
+  SketchIndex index;
+  for (const auto& [id, sketch] : added) ASSERT_TRUE(index.Add(id, sketch).ok());
+
+  for (const auto& [id, sketch] : added) {
+    SCOPED_TRACE(id);
+    const std::optional<PrivateSketch> found = index.Find(id);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->metadata().noise_kind, sketch.metadata().noise_kind);
+    EXPECT_EQ(found->metadata().noise_scale, sketch.metadata().noise_scale);
+    EXPECT_EQ(found->metadata().noise_center, sketch.metadata().noise_center);
+    EXPECT_EQ(found->metadata().epsilon, sketch.metadata().epsilon);
+    EXPECT_EQ(found->metadata().delta, sketch.metadata().delta);
+    EXPECT_EQ(found->Serialize(), sketch.Serialize());
+  }
+  // Heterogeneous pairs subtract each sketch's own noise center.
+  for (size_t i = 0; i < added.size(); ++i) {
+    for (size_t j = 0; j < added.size(); ++j) {
+      EXPECT_EQ(
+          index.SquaredDistance(added[i].first, added[j].first).value(),
+          EstimateSquaredDistance(added[i].second, added[j].second).value());
+    }
+  }
+}
+
+TEST(SketchIndexTest, FoundSketchIsACopyThatOutlivesTheIndex) {
+  const int64_t d = 64;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
+  Rng rng(kTestSeed);
+  const PrivateSketch added =
+      sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1);
+  std::optional<PrivateSketch> found;
+  {
+    SketchIndex index;
+    ASSERT_TRUE(index.Add("a", added).ok());
+    found = index.Find("a");
+  }
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->Serialize(), added.Serialize());
+  EXPECT_EQ(found->RawSquaredNorm(), added.RawSquaredNorm());
 }
 
 TEST(SketchIndexTest, NearestNeighborsValidatesTopN) {

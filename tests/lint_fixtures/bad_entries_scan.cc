@@ -1,33 +1,32 @@
 // Lint fixture: the test copies this file to <tmp>/src/core/scan.cc, where
-// the range-for over the per-sketch `sketches_` store must fire
+// the range-for over the per-ordinal `metadata_` store must fire
 // `entries-scan-in-query`; the same file outside src/core/ must be clean.
 // The suppressed loop below must stay silent in both locations.
-#include <deque>
-#include <string>
+#include <vector>
 
-struct Sketch {
-  std::string id;
+struct SketchMetadata {
+  double noise_center = 0.0;
 };
 
 class Index {
  public:
-  int CountByIteration() const {
-    int count = 0;
-    for (const Sketch& s : sketches_) {
-      count += static_cast<int>(s.id.size());
+  double SumByIteration() const {
+    double sum = 0.0;
+    for (const SketchMetadata& m : metadata_) {
+      sum += m.noise_center;
     }
-    return count;
+    return sum;
   }
 
-  int CountSuppressed() const {
-    int count = 0;
+  double SumSuppressed() const {
+    double sum = 0.0;
     // dpjl-lint: allow(entries-scan-in-query)
-    for (const Sketch& s : sketches_) {
-      count += static_cast<int>(s.id.size());
+    for (const SketchMetadata& m : metadata_) {
+      sum += m.noise_center;
     }
-    return count;
+    return sum;
   }
 
  private:
-  std::deque<Sketch> sketches_;
+  std::vector<SketchMetadata> metadata_;
 };

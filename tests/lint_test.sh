@@ -58,7 +58,7 @@ if [ $? -ne 0 ]; then
 fi
 
 # entries-scan-in-query is also path-sensitive: a range-for over the
-# per-sketch store must fire inside src/core/ (the fixture's suppressed
+# per-sketch metadata store must fire inside src/core/ (the fixture's suppressed
 # loop stays silent — exactly one finding) and not elsewhere.
 mkdir -p "$scratch/src/core"
 cp "$fixtures/bad_entries_scan.cc" "$scratch/src/core/scan.cc"

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -361,6 +368,137 @@ TEST(ServerTest, StopUnblocksLiveConnections) {
   const Status after = client.Ping();
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.code(), StatusCode::kUnavailable) << after;
+}
+
+/// Descriptors this process holds right now.
+int64_t OpenFdCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator());
+}
+
+/// Lowers the soft RLIMIT_NOFILE for a scope, restoring it on exit.
+class FdLimit {
+ public:
+  explicit FdLimit(rlim_t soft) {
+    DPJL_CHECK(::getrlimit(RLIMIT_NOFILE, &saved_) == 0, "getrlimit failed");
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    DPJL_CHECK(::setrlimit(RLIMIT_NOFILE, &lowered) == 0, "setrlimit failed");
+  }
+  ~FdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+Status PingOver(const Socket& connection) {
+  FrameHeader ping;
+  ping.type = MessageType::kPingRequest;
+  DPJL_RETURN_IF_ERROR(SendFrame(connection, ping, ""));
+  DPJL_ASSIGN_OR_RETURN(const Frame pong, RecvFrame(connection));
+  if (pong.header.type != MessageType::kPingResponse) {
+    return Status::Internal("expected a ping response");
+  }
+  return Status::OK();
+}
+
+TEST(ServerTest, ConnectionChurnAndFdExhaustionNeverLeaveTheServerDeaf) {
+  ServedEngine served = StartServedEngine(3);
+  const std::string host = served.server->host();
+  const int port = served.server->port();
+  const int64_t limit = OpenFdCount() + 8;
+  const FdLimit lowered(static_cast<rlim_t>(limit));
+
+  // Every finished connection is reaped, so 4x the fd limit in sequential
+  // connect/ping/close cycles never runs the process out of descriptors.
+  for (int64_t cycle = 0; cycle < 4 * limit; ++cycle) {
+    auto connection = ConnectTo(host, port, 2000);
+    ASSERT_TRUE(connection.ok()) << "cycle " << cycle << ": "
+                                 << connection.status();
+    ASSERT_TRUE(SetRecvTimeout(*connection, 5000).ok());
+    const Status pinged = PingOver(*connection);
+    ASSERT_TRUE(pinged.ok()) << "cycle " << cycle << ": " << pinged;
+  }
+
+  // Out of descriptors. A blocked accept() already holds a reserved fd, so
+  // first `live` makes the server reap the last churned connection (given
+  // a moment to see its peer's close); then, with every other slot taken,
+  // its accept() after `last` finds no free fd (EMFILE). It must keep
+  // accepting once descriptors are free again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto live = ConnectTo(host, port, 2000);
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE(SetRecvTimeout(*live, 5000).ok());
+  ASSERT_TRUE(PingOver(*live).ok());
+  std::vector<int> hogs;
+  for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0;
+       fd = ::open("/dev/null", O_RDONLY)) {
+    hogs.push_back(fd);
+  }
+  ASSERT_FALSE(hogs.empty());
+  ::close(hogs.back());  // exactly one slot, taken by the client socket
+  hogs.pop_back();
+  auto last = ConnectTo(host, port, 2000);
+  ASSERT_TRUE(last.ok()) << last.status();
+  ASSERT_TRUE(SetRecvTimeout(*last, 5000).ok());
+  EXPECT_TRUE(PingOver(*last).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const int fd : hogs) ::close(fd);
+
+  Client client(host, port);
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST(ServerTest, FinishedConnectionsAreReapedUnderTheDefaultFdLimit) {
+  ServedEngine served = StartServedEngine(3);
+  const std::string host = served.server->host();
+  const int port = served.server->port();
+  const int64_t baseline = OpenFdCount();
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    auto connection = ConnectTo(host, port, 2000);
+    ASSERT_TRUE(connection.ok()) << "cycle " << cycle << ": "
+                                 << connection.status();
+    ASSERT_TRUE(SetRecvTimeout(*connection, 5000).ok());
+    ASSERT_TRUE(PingOver(*connection).ok()) << "cycle " << cycle;
+  }
+  // One more accept turn, after the readers have seen their peers close,
+  // reaps whatever the churn left behind.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto last = ConnectTo(host, port, 2000);
+  ASSERT_TRUE(last.ok()) << last.status();
+  ASSERT_TRUE(SetRecvTimeout(*last, 5000).ok());
+  ASSERT_TRUE(PingOver(*last).ok());
+  // Without reaping, the server would still hold ~200 descriptors here.
+  EXPECT_LE(OpenFdCount(), baseline + 8);
+}
+
+TEST(ServerTest, StopIsIdempotentAndClosesEveryDescriptor) {
+  ServedEngine served = StartServedEngine(3);
+  served.server.reset();
+  const int64_t baseline = OpenFdCount();
+  auto started = Server::Start(served.engine.get(), ServerOptions());
+  ASSERT_TRUE(started.ok()) << started.status();
+  std::unique_ptr<Server> server = std::move(started).value();
+  {
+    std::vector<Socket> live;
+    for (int i = 0; i < 3; ++i) {
+      auto connection = ConnectTo(server->host(), server->port(), 2000);
+      ASSERT_TRUE(connection.ok()) << connection.status();
+      ASSERT_TRUE(SetRecvTimeout(*connection, 5000).ok());
+      ASSERT_TRUE(PingOver(*connection).ok());
+      live.push_back(std::move(connection).value());
+    }
+    server->Stop();
+    server->Stop();
+    // Stop shut the live connections down: their readers see end of stream.
+    for (const Socket& connection : live) {
+      EXPECT_FALSE(PingOver(connection).ok());
+    }
+  }
+  // Listener and every accepted connection are closed, not just shut down.
+  EXPECT_LE(OpenFdCount(), baseline);
+  server.reset();  // the destructor's Stop is a no-op now
+  EXPECT_LE(OpenFdCount(), baseline);
 }
 
 }  // namespace

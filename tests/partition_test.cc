@@ -253,6 +253,95 @@ TEST(PartitionedServingTest, DetachRemovesThePartitionsContribution) {
   ASSERT_TRUE(engine->DetachPartition(handles[1]).ok());
   EXPECT_EQ(engine->index_size(), 0);
   EXPECT_TRUE(engine->NearestNeighbors(corpus.probe, 3).value().empty());
+
+  // Handle 0 is the owned index: it is never detached, and what was
+  // inserted into it stays served.
+  const std::string id = corpus.index.ids().front();
+  const PrivateSketch owned = *corpus.index.Find(id);
+  ASSERT_TRUE(engine->Insert(id, owned).ok());
+  EXPECT_EQ(engine->DetachPartition(0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine->num_partitions(), 0);
+  EXPECT_EQ(engine->ids(), std::vector<std::string>{id});
+  EXPECT_EQ(engine->GetSketch(id).value().Serialize(), owned.Serialize());
+  const auto served = engine->NearestNeighbors(corpus.probe, 3);
+  ASSERT_TRUE(served.ok());
+  ASSERT_EQ(served->size(), 1u);
+  EXPECT_EQ(served->front().id, id);
+}
+
+TEST(PartitionedServingTest, OwnedSegmentIsServedFirstAlongsidePartitions) {
+  // The owned index is segment 0 of the list the engine scans: ids, sizes,
+  // copies and estimates span it and the attached partitions alike, while
+  // SerializeIndex and Insert address the owned segment only.
+  const Corpus corpus = MakeCorpus(12);
+  const std::vector<std::string>& ids = corpus.index.ids();
+  SketchIndex owned;
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(owned.Add(ids[i], *corpus.index.Find(ids[i])).ok());
+  }
+  const std::string owned_bytes = owned.Serialize();
+  EngineOptions options;
+  options.sketcher = BaseSketcher();
+  auto built = Engine::FromIndex(std::move(owned), options);
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<Engine> engine = std::move(built).value();
+  SketchIndex partition;
+  for (size_t i = 5; i < ids.size(); ++i) {
+    ASSERT_TRUE(partition.Add(ids[i], *corpus.index.Find(ids[i])).ok());
+  }
+  ASSERT_TRUE(engine->AttachPartition(std::move(partition)).ok());
+
+  EXPECT_EQ(engine->num_partitions(), 1);
+  EXPECT_EQ(engine->index_size(), corpus.index.size());
+  EXPECT_EQ(engine->ids(), ids);
+  for (const std::string& id : ids) {
+    const auto copy = engine->GetSketch(id);
+    ASSERT_TRUE(copy.ok()) << id;
+    EXPECT_EQ(copy->Serialize(), corpus.index.Find(id)->Serialize()) << id;
+  }
+  EXPECT_EQ(engine->GetSketch("nope").status().code(), StatusCode::kNotFound);
+  // The two endpoints sit on either side of the owned/partition seam.
+  EXPECT_EQ(engine->SquaredDistance(ids[4], ids[5]).value(),
+            corpus.index.SquaredDistance(ids[4], ids[5]).value());
+  const auto matrix = engine->AllPairsDistances();
+  ASSERT_TRUE(matrix.ok());
+  EXPECT_EQ(matrix->values, corpus.index.AllPairsDistances()->values);
+  EXPECT_EQ(engine->SerializeIndex(), owned_bytes);
+
+  const PrivateSketch fresh = corpus.batch_probes.front();
+  ASSERT_TRUE(engine->Insert("fresh", fresh).ok());
+  EXPECT_EQ(engine->ids().at(5), "fresh");
+  EXPECT_EQ(engine->index_size(), corpus.index.size() + 1);
+  const auto reloaded = SketchIndex::Deserialize(engine->SerializeIndex());
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded->size(), 6);
+  EXPECT_TRUE(reloaded->Contains("fresh"));
+}
+
+TEST(PartitionedServingTest, EmptyOwnedSegmentTakesTheCorpusRulesFromPartitions) {
+  // With nothing owned, the served corpus's projection comes from the
+  // first non-empty segment: queries and inserts are checked against it.
+  const Corpus corpus = MakeCorpus(6);
+  const std::unique_ptr<Engine> engine =
+      MakePartitionedEngine(corpus.index, 3, 1);
+  ASSERT_EQ(engine->num_partitions(), 3);
+  SketcherConfig other = BaseSketcher();
+  other.projection_seed = kTestSeed + 1;
+  Rng rng(kTestSeed + 3);
+  const PrivateSketch alien = MakeSketcherOrDie(48, other).Sketch(
+      DenseGaussianVector(48, 1.0, &rng), 1);
+
+  EXPECT_EQ(engine->NearestNeighbors(alien, 3).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine->RangeQuery(alien, 1e9).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine->Insert("alien", alien).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine->index_size(), corpus.index.size());
+  // A compatible insert lands in the owned segment, ahead of the partitions.
+  ASSERT_TRUE(engine->Insert("mine", corpus.probe).ok());
+  EXPECT_EQ(engine->ids().front(), "mine");
+  EXPECT_EQ(engine->NearestNeighbors(corpus.probe, 1)->front().id, "mine");
 }
 
 TEST(PartitionedServingTest, ConcurrentQueriesWithAttachDetachCycles) {

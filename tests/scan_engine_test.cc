@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -410,6 +411,107 @@ TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
     ASSERT_EQ(norms.size(), 2u);
     EXPECT_EQ(norms[0], EstimateSquaredNorm(a));
     EXPECT_EQ(norms[1], EstimateSquaredNorm(b));
+  }
+}
+
+TEST(ScanEngineTest, FindCopiesOutTheAddedSketchAfterLaterAdds) {
+  // The arena is the only copy of the values: Find() rebuilds the sketch
+  // from its lane, and must hand back exactly the bytes that were added,
+  // after later Adds grew the arena past the first block.
+  const int64_t d = 24;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(13));
+  for (const KernelOps* table : AllTables()) {
+    KernelOverride pin(table);
+    SCOPED_TRACE(std::string("table=") + table->name);
+    Rng rng(kTestSeed);
+    const PrivateSketch first =
+        sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1);
+    SketchIndex index;
+    ASSERT_TRUE(index.Add("first", first).ok());
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(index
+                      .Add("more-" + std::to_string(i),
+                           sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                           10 + static_cast<uint64_t>(i)))
+                      .ok());
+    }
+    const std::optional<PrivateSketch> found = index.Find("first");
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->Serialize(), first.Serialize());
+    EXPECT_EQ(found->RawSquaredNorm(), first.RawSquaredNorm());
+  }
+}
+
+TEST(ScanEngineTest, EveryLaneCopiesOutBitIdenticalSketches) {
+  // Every lane position of full and zero-padded tail blocks, in arenas
+  // grown by Add and rebuilt by Deserialize / FromPartitions.
+  const int64_t d = 24;
+  for (const int64_t k : {int64_t{3}, int64_t{13}, int64_t{96}}) {
+    const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
+    for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, int64_t{9},
+                            int64_t{17}}) {
+      Rng rng(DeriveSeed(kTestSeed, static_cast<uint64_t>(k * 100 + n)));
+      std::vector<std::pair<std::string, PrivateSketch>> added;
+      SketchIndex index;
+      for (int64_t i = 0; i < n; ++i) {
+        added.emplace_back("lane-" + std::to_string(i),
+                           sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                           static_cast<uint64_t>(1 + i)));
+        ASSERT_TRUE(index.Add(added.back().first, added.back().second).ok());
+      }
+      const SketchIndex reloaded =
+          SketchIndex::Deserialize(index.Serialize()).value();
+      const auto exported = index.ExportPartitions(3).value();
+      const SketchIndex merged =
+          SketchIndex::FromPartitions(exported.manifest, exported.partitions)
+              .value();
+      for (const KernelOps* table : AllTables()) {
+        KernelOverride pin(table);
+        SCOPED_TRACE(std::string("table=") + table->name +
+                     " k=" + std::to_string(k) + " n=" + std::to_string(n));
+        for (const SketchIndex* source :
+             std::vector<const SketchIndex*>{&index, &reloaded, &merged}) {
+          for (const auto& [id, sketch] : added) {
+            const std::optional<PrivateSketch> found = source->Find(id);
+            ASSERT_TRUE(found.has_value()) << id;
+            EXPECT_EQ(found->Serialize(), sketch.Serialize()) << id;
+            EXPECT_EQ(found->RawSquaredNorm(), sketch.RawSquaredNorm()) << id;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanEngineTest, StoredPairDistancesMatchTheEstimatorOnAddedSketches) {
+  // SquaredDistance rebuilds both sketches from the arena; the estimate
+  // must be bit-identical to the estimator on the sketches as added.
+  const int64_t d = 24;
+  for (const int64_t k : {int64_t{3}, int64_t{13}, int64_t{96}}) {
+    const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
+    Rng rng(DeriveSeed(kTestSeed, static_cast<uint64_t>(k)));
+    std::vector<std::pair<std::string, PrivateSketch>> added;
+    for (int64_t i = 0; i < 11; ++i) {
+      added.emplace_back("p-" + std::to_string(i),
+                         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                         static_cast<uint64_t>(1 + i)));
+    }
+    SketchIndex index;
+    ASSERT_TRUE(index.AddBatch(added).ok());
+    for (const KernelOps* table : AllTables()) {
+      KernelOverride pin(table);
+      SCOPED_TRACE(std::string("table=") + table->name +
+                   " k=" + std::to_string(k));
+      for (const auto& a : added) {
+        for (const auto& b : added) {
+          const double stored = index.SquaredDistance(a.first, b.first).value();
+          const double direct =
+              EstimateSquaredDistance(a.second, b.second).value();
+          EXPECT_EQ(std::memcmp(&stored, &direct, sizeof(double)), 0)
+              << a.first << " vs " << b.first;
+        }
+      }
+    }
   }
 }
 

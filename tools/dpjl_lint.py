@@ -35,12 +35,12 @@ bare-mutex             ``std::mutex`` / ``std::shared_mutex`` /
 discarded-status       a ``(void)`` cast with no adjacent comment. The
                        only sanctioned silent drop is a commented one
                        (prefer ``LogIfError``).
-entries-scan-in-query  a range-for over the index's per-sketch store
-                       ``sketches_`` in ``src/core/``. Query code must
-                       scan the blocked sketch arena (eight candidates per
-                       kernel pass); per-sketch iteration silently reverts
-                       the scan engine. Member *calls* like
-                       ``sketches_()`` do not fire.
+entries-scan-in-query  a range-for over the index's per-ordinal metadata
+                       store ``metadata_`` in ``src/core/``. Query code
+                       must scan the blocked sketch arena (eight candidates
+                       per kernel pass, noise centers alongside); per-sketch
+                       iteration silently reverts the scan engine. Member
+                       *calls* like ``metadata_()`` do not fire.
 
 Suppression: append ``// dpjl-lint: allow(<rule>)`` to the offending line
 or the line directly above it.
@@ -104,7 +104,7 @@ PLACEMENT_NEW_RE = re.compile(r"new\s*\(")
 VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_:(]")
 NOW_RE = re.compile(r"::now\s*\(\s*\)")
 ENTRIES_SCAN_RE = re.compile(
-    r"for\s*\([^;)]*:\s*(?:[^)]*(?:\.|->)\s*)?sketches_\b(?!\s*\()"
+    r"for\s*\([^;)]*:\s*(?:[^)]*(?:\.|->)\s*)?metadata_\b(?!\s*\()"
 )
 COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -247,7 +247,7 @@ def lint_file(path: Path, rel: str):
                     rel,
                     lineno,
                     "entries-scan-in-query",
-                    "range-for over the per-sketch store in core query "
+                    "range-for over the per-sketch metadata in core query "
                     "code; scan the sketch arena so the blocked kernels see "
                     "the candidates",
                 )

@@ -844,11 +844,8 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
   }
   std::printf("sketch_count\t%lld\n", static_cast<long long>(index->size()));
   if (index->size() > 0) {
-    const SketchMetadata& metadata =
-        index->Find(index->ids().front())->metadata();
     std::printf("fingerprint\t%016llx\n",
-                static_cast<unsigned long long>(
-                    CompatibilityFingerprint(metadata)));
+                static_cast<unsigned long long>(index->Fingerprint()));
   }
   return 0;
 }
