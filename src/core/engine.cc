@@ -14,7 +14,6 @@
 #include "src/jl/make_transform.h"
 
 namespace dpjl {
-namespace {
 
 Result<double> ParseDoubleFlag(const std::string& key, const std::string& raw) {
   char* end = nullptr;
@@ -54,6 +53,8 @@ Result<uint64_t> ParseSeedFlag(const std::string& key, const std::string& raw) {
   return static_cast<uint64_t>(value);
 }
 
+namespace {
+
 Result<SketcherConfig::NoiseSelection> ParseNoiseFlag(const std::string& raw) {
   if (raw == "auto") return SketcherConfig::NoiseSelection::kAuto;
   if (raw == "laplace") return SketcherConfig::NoiseSelection::kLaplace;
@@ -83,18 +84,6 @@ Result<NoisePlacement> ParsePlacementFlag(const std::string& raw) {
   if (raw == "post-hadamard") return NoisePlacement::kPostHadamard;
   return Status::InvalidArgument("unknown placement '" + raw +
                                  "' (expected output|input|post-hadamard)");
-}
-
-std::string PlacementFlagName(NoisePlacement placement) {
-  switch (placement) {
-    case NoisePlacement::kOutput:
-      return "output";
-    case NoisePlacement::kInput:
-      return "input";
-    case NoisePlacement::kPostHadamard:
-      return "post-hadamard";
-  }
-  return "output";
 }
 
 Result<TransformKind> ParseTransformFlag(const std::string& raw) {

@@ -101,6 +101,17 @@ struct EngineOptions {
   Status Validate() const;
 };
 
+/// The strict value parsers behind EngineOptions::Parse, shared with the
+/// CLI's own numeric flags so every flag fails the same way. Each accepts
+/// only a complete decimal token (no trailing characters, no overflow) and
+/// reports a malformed `raw` as kInvalidArgument "--<key> expects ...".
+Result<double> ParseDoubleFlag(const std::string& key, const std::string& raw);
+/// As ParseDoubleFlag for an integer in [min, max].
+Result<int64_t> ParseIntFlag(const std::string& key, const std::string& raw,
+                             int64_t min, int64_t max);
+/// As ParseDoubleFlag for a non-negative 64-bit seed.
+Result<uint64_t> ParseSeedFlag(const std::string& key, const std::string& raw);
+
 /// Cooperative cancellation handle threaded through long-running engine
 /// computations. `Cancelled()` turning true is a request, not a guarantee:
 /// the computation polls it at its natural scatter-gather boundaries

@@ -27,6 +27,18 @@ bool ReadPod(const std::string& in, size_t* offset, T* value) {
 
 }  // namespace
 
+std::string PlacementFlagName(NoisePlacement placement) {
+  switch (placement) {
+    case NoisePlacement::kOutput:
+      return "output";
+    case NoisePlacement::kInput:
+      return "input";
+    case NoisePlacement::kPostHadamard:
+      return "post-hadamard";
+  }
+  return "output";
+}
+
 bool SketchMetadata::CompatibleWith(const SketchMetadata& other) const {
   return transform == other.transform && input_dim == other.input_dim &&
          output_dim == other.output_dim && sparsity == other.sparsity &&
@@ -95,6 +107,18 @@ Result<PrivateSketch> PrivateSketch::Deserialize(const std::string& bytes) {
   }
   if (offset + static_cast<size_t>(count) * sizeof(double) != bytes.size()) {
     return Status::DataLoss("sketch payload size mismatch");
+  }
+  // The enum fields come from files and peers: a value outside the declared
+  // enumerators is corruption, never a kind this build can interpret.
+  if (transform < 0 ||
+      transform > static_cast<int32_t>(TransformKind::kSparseUniform) ||
+      placement < 0 ||
+      placement > static_cast<int32_t>(NoisePlacement::kPostHadamard) ||
+      noise_kind < 0 ||
+      noise_kind >
+          static_cast<int32_t>(NoiseDistribution::Kind::kDiscreteGaussian)) {
+    return Status::DataLoss(
+        "sketch metadata names an unknown transform, placement or noise kind");
   }
   meta.transform = static_cast<TransformKind>(transform);
   meta.placement = static_cast<NoisePlacement>(placement);

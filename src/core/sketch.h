@@ -30,6 +30,10 @@ enum class NoisePlacement {
   kPostHadamard,
 };
 
+/// The placement's `--placement` flag spelling ("output", "input",
+/// "post-hadamard"); also how sketch descriptions and `inspect` name it.
+std::string PlacementFlagName(NoisePlacement placement);
+
 /// Everything a receiving party needs to interpret a sketch, embedded in
 /// the released artifact itself. All fields are public by design — in the
 /// distributed setting of the paper only the noise *realization* is secret;

@@ -240,8 +240,7 @@ std::string PrivateSketcher::Describe() const {
   std::string out = transform_->Name();
   out += " + ";
   out += mechanism_.Name();
-  out += config_.placement == NoisePlacement::kOutput ? " [output-noise]"
-                                                      : " [input-noise]";
+  out += " [" + PlacementFlagName(config_.placement) + "-noise]";
   return out;
 }
 

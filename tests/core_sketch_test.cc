@@ -1,3 +1,5 @@
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "src/core/sketch.h"
@@ -55,6 +57,43 @@ TEST(SketchTest, DeserializeRejectsBadMagic) {
   const auto result = PrivateSketch::Deserialize(bytes);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(SketchTest, DeserializeRejectsOutOfRangeEnumFields) {
+  // Wire offsets of the int32 enum fields: after the 8-byte magic comes
+  // transform, then input_dim/output_dim/sparsity/projection_seed (8 bytes
+  // each), then placement and noise_kind.
+  const std::string good =
+      PrivateSketch({1.0, 2.0, 3.0, 4.0}, MakeMeta()).Serialize();
+  const auto patched = [&good](size_t offset, int32_t value) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  struct Case {
+    const char* field;
+    size_t offset;
+    int32_t bad;
+    int32_t last_valid;
+  };
+  for (const Case& c : {
+           Case{"transform", 8, 99,
+                static_cast<int32_t>(TransformKind::kSparseUniform)},
+           Case{"placement", 44, 7,
+                static_cast<int32_t>(NoisePlacement::kPostHadamard)},
+           Case{"noise_kind", 48, 42,
+                static_cast<int32_t>(
+                    NoiseDistribution::Kind::kDiscreteGaussian)},
+       }) {
+    SCOPED_TRACE(c.field);
+    for (const int32_t bad : {c.bad, c.last_valid + 1, int32_t{-1}}) {
+      const auto result = PrivateSketch::Deserialize(patched(c.offset, bad));
+      EXPECT_FALSE(result.ok()) << bad;
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << bad;
+    }
+    EXPECT_TRUE(
+        PrivateSketch::Deserialize(patched(c.offset, c.last_valid)).ok());
+  }
 }
 
 TEST(SketchTest, DeserializeRejectsTruncation) {

@@ -153,6 +153,18 @@ TEST(SketcherTest, DescribeMentionsTransformAndNoise) {
   EXPECT_NE(desc.find("sjlt-block"), std::string::npos);
   EXPECT_NE(desc.find("Laplace"), std::string::npos);
   EXPECT_NE(desc.find("output-noise"), std::string::npos);
+
+  // The paper's Note 7 placement names itself, not the input placement it
+  // is distributed like.
+  SketcherConfig post = Base();
+  post.transform = TransformKind::kFjlt;
+  post.placement = NoisePlacement::kPostHadamard;
+  post.delta = 1e-6;
+  post.noise_selection = SketcherConfig::NoiseSelection::kGaussian;
+  const std::string post_desc = MakeSketcherOrDie(64, post).Describe();
+  EXPECT_NE(post_desc.find("fjlt"), std::string::npos);
+  EXPECT_NE(post_desc.find("Gaussian"), std::string::npos);
+  EXPECT_NE(post_desc.find("[post-hadamard-noise]"), std::string::npos);
 }
 
 TEST(SketcherTest, MoveSemantics) {

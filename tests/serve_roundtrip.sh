@@ -15,8 +15,11 @@
 #      mid-run, routed queries must STILL be byte-identical (failover),
 #      and killing the last replica must yield a clean "unavailable" error.
 #
+#   6. the client-only RPCs: insert (then a query that finds the inserted
+#      id), stats and ping, plus routed stats.
+#
 # Registered in ctest (tools/CMakeLists.txt) with the serve_test label; the
-# multi-process smoke job in CI runs the same shape.
+# multi-process smoke job in CI runs this script too.
 set -euo pipefail
 
 tool="${1:?usage: serve_roundtrip.sh /path/to/dpjl_tool}"
@@ -137,6 +140,26 @@ diff "$dir/mono.est" "$dir/single.est" \
 # One endpoint, every group: the fan-out must contact it exactly once.
 check_routed routed1 "$ep_all,$ep_all,$ep_all,$ep_all"
 
+# Client-only RPCs against a server of its own (so the insert cannot leak
+# into the byte-identity checks): insert row0's sketch again under a new
+# id; a query with that sketch must then return both copies, the new id
+# and row0, as its two nearest neighbors.
+start_server ep_ins --index "$dir/mono.idx"
+"$tool" client insert --connect "$ep_ins" --id inserted \
+  --sketch "$dir/row0.sketch" > "$dir/insert.out" 2> /dev/null
+grep -qx "inserted inserted" "$dir/insert.out" \
+  || { echo "FAIL: client insert did not confirm the id"; exit 1; }
+"$tool" client query --connect "$ep_ins" --sketch "$dir/row0.sketch" \
+  --top 2 > "$dir/insert.nn" 2> /dev/null
+cut -f1 "$dir/insert.nn" | sort | tr '\n' ' ' | grep -qx "inserted row0 " \
+  || { echo "FAIL: query after insert misses the inserted id"; exit 1; }
+"$tool" client ping --connect "$ep_ins" > "$dir/ping.out" 2> /dev/null
+grep -qx "pong" "$dir/ping.out" \
+  || { echo "FAIL: client ping did not answer pong"; exit 1; }
+"$tool" client stats --connect "$ep_ins" > "$dir/stats.out" 2> /dev/null
+grep -qx "index_size.13" "$dir/stats.out" \
+  || { echo "FAIL: client stats does not count the inserted sketch"; exit 1; }
+
 # --- Topology B: two processes, two partitions each ------------------------
 start_server ep_front --partitions "$dir/shard.0.part,$dir/shard.1.part"
 start_server ep_back --partitions "$dir/shard.2.part,$dir/shard.3.part"
@@ -152,6 +175,14 @@ start_server ep2 --partitions "$dir/shard.2.part"
 start_server ep3 --partitions "$dir/shard.3.part"
 topology="$ep0,$ep1|$ep1b,$ep2,$ep3"
 check_routed routed4 "$topology"
+
+# Routed stats: one "== endpoint ==" section per distinct endpoint, each
+# with that server's engine counters.
+"$tool" route stats --manifest "$dir/shard.manifest" \
+  --endpoints "$topology" > "$dir/routed4.stats" 2> /dev/null
+[ "$(grep -c '^==' "$dir/routed4.stats")" -eq 5 ] \
+  && [ "$(grep -c '^index_size' "$dir/routed4.stats")" -eq 5 ] \
+  || { echo "FAIL: route stats did not report all 5 endpoints"; exit 1; }
 
 # Kill group 1's primary mid-run: round-robin must fail over to the
 # replica and stay byte-identical. Repeat to cover both cursor positions.
