@@ -10,8 +10,10 @@
 // throughput comparison.
 //
 // Measured grid: op (nn_top10 / range / all_pairs) x kernel table (scalar
-// pinned / auto-dispatched best) x path (per_entry / arena). NN and range
-// scan a 10240-sketch corpus at sketch dim 96; all-pairs uses a 2048-item
+// pinned / auto-dispatched best) x path (per_entry / arena), plus the
+// arena-only nn_batch8 (an 8-probe NearestNeighborsBatch, timed per
+// probe, to set against nn_top10). NN and range scan a 10240-sketch
+// corpus at sketch dim 96; all-pairs uses a 2048-item
 // subset (the per-entry quadratic pass would otherwise dominate the bench's
 // runtime). Everything is single-threaded (pool = nullptr): the arena's win
 // must come from memory layout and SIMD width, not parallelism.
@@ -57,6 +59,7 @@ constexpr int64_t kSketchDim = 96;   // sketch dimension k
 constexpr int64_t kCorpus = 10240;   // NN / range corpus
 constexpr int64_t kPairsCorpus = 2048;  // all-pairs corpus (quadratic op)
 constexpr int64_t kTopN = 10;
+constexpr int kBatchProbes = 8;  // probes per nn_batch8 call
 constexpr int kScanSamples = 30;
 constexpr int kScanWarmup = 3;
 constexpr int kPairsSamples = 3;
@@ -249,6 +252,24 @@ int Run(const char* path_filter, const char* json_path) {
             DPJL_CHECK(r.ok(), r.status().ToString());
             sink += (*r)[0].squared_distance;
           }));
+      // One 8-probe batch per call, reported per probe: the batched
+      // counterpart of nn_top10, one multi-probe arena pass per batch.
+      Series batch = Measure(
+          "nn_batch8" + suffix, "arena", kCorpus, kScanSamples, kScanWarmup,
+          [&](int i) {
+            std::vector<const PrivateSketch*> probes;
+            for (int p = 0; p < kBatchProbes; ++p) {
+              probes.push_back(&probe(i * kBatchProbes + p));
+            }
+            auto r = w.index.NearestNeighborsBatch(probes, kTopN);
+            DPJL_CHECK(r.ok(), r.status().ToString());
+            sink += (*r)[0][0].squared_distance;
+          });
+      batch.p50_us /= kBatchProbes;
+      batch.mean_us /= kBatchProbes;
+      batch.entries_per_sec = static_cast<double>(kCorpus) /
+                              (batch.mean_us * 1e-6);
+      results.push_back(batch);
       results.push_back(Measure(
           "range" + suffix, "arena", kCorpus, kScanSamples, kScanWarmup,
           [&](int i) {

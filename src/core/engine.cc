@@ -12,6 +12,7 @@
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
 #include "src/jl/make_transform.h"
+#include "src/linalg/kernels.h"
 
 namespace dpjl {
 
@@ -421,37 +422,62 @@ std::string Engine::SerializeIndex() const {
 Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
     const PrivateSketch& query, int64_t top_n, ThreadPool* pool,
     const CancelToken& cancel) const {
+  DPJL_ASSIGN_OR_RETURN(
+      std::vector<std::vector<SketchIndex::Neighbor>> lists,
+      NearestNeighborsBatchLocked({&query}, top_n, pool, cancel));
+  return std::move(lists.front());
+}
+
+Result<std::vector<std::vector<SketchIndex::Neighbor>>>
+Engine::NearestNeighborsBatchLocked(
+    const std::vector<const PrivateSketch*>& probes, int64_t top_n,
+    ThreadPool* pool, const CancelToken& cancel) const {
+  std::vector<std::vector<SketchIndex::Neighbor>> results;
+  if (probes.empty()) return results;
   if (cancel.Cancelled()) {
     return Status::Cancelled("query cancelled before its partition fan-out");
   }
   // The per-partition scans repeat this check; it runs here first so the
-  // gather heap below is never constructed with an invalid bound.
+  // gather heaps below are never constructed with an invalid bound.
   if (top_n < 1) {
     return Status::InvalidArgument("top_n must be >= 1");
   }
-  // Scatter: every segment produces its own top_n (each a blocked arena
-  // scan, pool-parallel across its blocks in turn).
-  // The global top_n is contained in the union of the per-segment top_n
-  // lists, so gathering them through the same deterministic (distance, id)
-  // bounded top-k the arena scans use is byte-identical to scanning one
-  // merged index. The cancel token is polled between partition scans: a
-  // cancelled caller stops paying for the rest of the fan-out instead of
-  // completing a result nobody reads.
-  BoundedTopK<SketchIndex::Neighbor,
-              bool (*)(const SketchIndex::Neighbor&,
-                       const SketchIndex::Neighbor&)>
-      gather(top_n, SketchIndex::NeighborLess);
-  for (const auto& segment : segments_) {
-    if (cancel.Cancelled()) {
-      return Status::Cancelled("query cancelled mid partition fan-out");
+  // Scatter: for each tile of up to kScanTileProbes probes, every segment
+  // produces each probe's own top_n in one multi-probe arena pass
+  // (pool-parallel across its blocks in turn). A probe's global top_n is
+  // contained in the union of its per-segment lists, so gathering them
+  // through the same deterministic (distance, id) bounded top-k the arena
+  // scans use is byte-identical to scanning one merged index. The cancel
+  // token is polled before every (tile, segment) step: a cancelled caller
+  // stops paying for the rest of the fan-out instead of completing a
+  // result nobody reads.
+  using Gather = BoundedTopK<SketchIndex::Neighbor,
+                             bool (*)(const SketchIndex::Neighbor&,
+                                      const SketchIndex::Neighbor&)>;
+  const int64_t num_probes = static_cast<int64_t>(probes.size());
+  results.reserve(probes.size());
+  for (int64_t first = 0; first < num_probes; first += kScanTileProbes) {
+    const std::vector<const PrivateSketch*> tile(
+        probes.begin() + first,
+        probes.begin() + std::min(num_probes, first + kScanTileProbes));
+    std::vector<Gather> gathers(tile.size(),
+                                Gather(top_n, SketchIndex::NeighborLess));
+    for (const auto& segment : segments_) {
+      if (cancel.Cancelled()) {
+        return Status::Cancelled("query cancelled mid partition fan-out");
+      }
+      DPJL_ASSIGN_OR_RETURN(
+          std::vector<std::vector<SketchIndex::Neighbor>> partial,
+          segment.second.NearestNeighborsBatch(tile, top_n, pool));
+      for (size_t p = 0; p < tile.size(); ++p) {
+        for (SketchIndex::Neighbor& neighbor : partial[p]) {
+          gathers[p].Push(std::move(neighbor));
+        }
+      }
     }
-    DPJL_ASSIGN_OR_RETURN(std::vector<SketchIndex::Neighbor> partial,
-                          segment.second.NearestNeighbors(query, top_n, pool));
-    for (SketchIndex::Neighbor& neighbor : partial) {
-      gather.Push(std::move(neighbor));
-    }
+    for (Gather& gather : gathers) results.push_back(gather.TakeSorted());
   }
-  return gather.TakeSorted();
+  return results;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQueryLocked(
@@ -628,31 +654,17 @@ Engine::SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
   return Submit<std::vector<std::vector<SketchIndex::Neighbor>>>(
       [this, queries = std::move(queries), top_n](const CancelToken& cancel)
           -> Result<std::vector<std::vector<SketchIndex::Neighbor>>> {
-        // One read-lock acquisition for the whole batch; probes fan across
-        // the pool with the deterministic chunking. Each probe's arena
-        // scan runs serially (no nested ParallelFor) — by the index's
-        // determinism contract the result is byte-identical to the
-        // pool-parallel scan a lone SubmitQuery performs. The cancel token
-        // is polled per probe, so cancelling a large batch stops its
-        // remaining probes, not just its queue admission.
+        // One read-lock acquisition for the whole batch. Probes are
+        // scored a tile at a time, each tile one multi-probe pass over
+        // every segment's arena, so the batch costs far less than
+        // queries.size() single scans; by the index's determinism
+        // contract each result is byte-identical to a lone SubmitQuery.
+        std::vector<const PrivateSketch*> probes;
+        probes.reserve(queries.size());
+        for (const PrivateSketch& query : queries) probes.push_back(&query);
         ReaderLock lock(index_mutex_);
-        const int64_t n = static_cast<int64_t>(queries.size());
-        std::vector<std::vector<SketchIndex::Neighbor>> results(queries.size());
-        std::vector<Status> probe_status(queries.size());
-        ThreadPool::Run(pool_.get(), 0, n, 1, [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            const size_t slot = static_cast<size_t>(i);
-            auto probe = NearestNeighborsLocked(queries[slot], top_n,
-                                                /*pool=*/nullptr, cancel);
-            if (!probe.ok()) {
-              probe_status[slot] = probe.status();
-              continue;
-            }
-            results[slot] = std::move(*probe);
-          }
-        });
-        for (const Status& status : probe_status) DPJL_RETURN_IF_ERROR(status);
-        return results;
+        return NearestNeighborsBatchLocked(probes, top_n, pool_.get(),
+                                           cancel);
       },
       request);
 }

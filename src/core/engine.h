@@ -413,10 +413,16 @@ class Engine {
       const RequestOptions& request = {});
 
   /// Many probes, one admission: the batch occupies a single queue slot
-  /// (one quota unit, one queue hop) and, once popped, fans the probes
-  /// across the thread pool with the same deterministic chunking every
-  /// parallel path uses. result[i] is byte-identical to
-  /// `SubmitQuery(queries[i], top_n)` at any thread count.
+  /// (one quota unit, one queue hop) and, once popped, is scored
+  /// kScanTileProbes probes at a time — each tile one multi-probe pass
+  /// over every segment's arena (SketchIndex::NearestNeighborsBatch), so a
+  /// block streams from memory once per tile instead of once per probe.
+  /// result[i] is byte-identical to `SubmitQuery(queries[i], top_n)` at
+  /// any thread count and partition layout. On failure the status is the
+  /// one the lowest-index failing probe's SubmitQuery returns
+  /// (kInvalidArgument for top_n < 1, kFailedPrecondition for an
+  /// incompatible probe); a cancel observed before any (tile, segment)
+  /// step yields kCancelled, never a partial result.
   EngineFuture<std::vector<std::vector<SketchIndex::Neighbor>>>
   SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
                    const RequestOptions& request = {});
@@ -457,13 +463,20 @@ class Engine {
   RequestQueue::Clock::time_point DeadlineFor(int64_t deadline_ms) const;
 
   /// Scatter-gather query cores. Callers hold the read side of
-  /// `index_mutex_`; `pool` is the engine pool for direct calls and null
-  /// for probes that already run on the pool (no nested parallelism).
+  /// `index_mutex_`; `pool` splits each segment scan across its blocks.
   /// `cancel` is polled between partition scans: a raised token unwinds
-  /// the remaining fan-out with kCancelled.
+  /// the remaining fan-out with kCancelled. NearestNeighborsLocked is the
+  /// one-probe case of NearestNeighborsBatchLocked, which walks `probes`
+  /// in tiles of kScanTileProbes and polls `cancel` before every (tile,
+  /// segment) step.
   Result<std::vector<SketchIndex::Neighbor>> NearestNeighborsLocked(
       const PrivateSketch& query, int64_t top_n, ThreadPool* pool,
       const CancelToken& cancel = CancelToken()) const
+      REQUIRES_SHARED(index_mutex_);
+  Result<std::vector<std::vector<SketchIndex::Neighbor>>>
+  NearestNeighborsBatchLocked(const std::vector<const PrivateSketch*>& probes,
+                              int64_t top_n, ThreadPool* pool,
+                              const CancelToken& cancel) const
       REQUIRES_SHARED(index_mutex_);
   Result<std::vector<SketchIndex::Neighbor>> RangeQueryLocked(
       const PrivateSketch& query, double radius_sq, ThreadPool* pool,

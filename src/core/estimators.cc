@@ -34,15 +34,21 @@ Result<double> EstimateSquaredDistance(const PrivateSketch& a,
   return diff_sq - a.metadata().noise_center - b.metadata().noise_center;
 }
 
-void EstimateSquaredDistanceBlock(const double* query, int64_t k,
-                                  double query_center, const double* block,
-                                  const double* candidate_centers,
-                                  int64_t width, double* out) {
+void EstimateSquaredDistanceTile(const double* const* queries,
+                                 const double* query_centers,
+                                 int64_t num_probes, int64_t k,
+                                 const double* block,
+                                 const double* candidate_centers,
+                                 int64_t width, double* out) {
   // The kernel always runs the full kSketchBlockWidth lane stride (that is
   // the storage layout); only the width live lanes get the center epilogue.
-  Kernels().squared_distance_block(query, block, k, kSketchBlockWidth, out);
-  for (int64_t t = 0; t < width; ++t) {
-    out[t] = out[t] - query_center - candidate_centers[t];
+  Kernels().squared_distance_tile(queries, num_probes, block, k,
+                                  kSketchBlockWidth, out);
+  for (int64_t p = 0; p < num_probes; ++p) {
+    double* row = out + p * kSketchBlockWidth;
+    for (int64_t t = 0; t < width; ++t) {
+      row[t] = row[t] - query_centers[p] - candidate_centers[t];
+    }
   }
 }
 

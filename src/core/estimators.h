@@ -25,22 +25,28 @@ namespace dpjl {
 Result<double> EstimateSquaredDistance(const PrivateSketch& a,
                                        const PrivateSketch& b);
 
-/// Multi-candidate form of EstimateSquaredDistance over one lane-interleaved
-/// candidate block (the kernels.h column-block layout: element j of
-/// candidate t at `block[j * kSketchBlockWidth + t]`). For each t < width,
-///   out[t] = (sum_j (query[j] - block[j*W + t])^2
-///             - query_center) - candidate_centers[t],
-/// with the identical per-pair operation order (ascending j, one
-/// accumulator, multiply-then-add, centers subtracted query-first) as the
-/// scalar estimator — byte-identical output in every kernel dispatch mode.
-/// Compatibility must already be established by the caller: this is the
-/// per-block inner loop, checked once per query, not once per candidate.
-/// `out` must hold kSketchBlockWidth doubles; lanes >= width are scratch
-/// (zero-padded candidates leave garbage there).
-void EstimateSquaredDistanceBlock(const double* query, int64_t k,
-                                  double query_center, const double* block,
-                                  const double* candidate_centers,
-                                  int64_t width, double* out);
+/// Multi-probe, multi-candidate form of EstimateSquaredDistance over one
+/// lane-interleaved candidate block (the kernels.h column-block layout:
+/// element j of candidate t at `block[j * kSketchBlockWidth + t]`). For
+/// each probe p < num_probes (at most kScanTileProbes) and t < width,
+///   out[p*W + t] = (sum_j (queries[p][j] - block[j*W + t])^2
+///                   - query_centers[p]) - candidate_centers[t],
+/// with W = kSketchBlockWidth and the identical per-pair operation order
+/// (ascending j, one accumulator, multiply-then-add, centers subtracted
+/// probe-first) as the scalar estimator — byte-identical output in every
+/// kernel dispatch mode, whatever other probes share the tile. One
+/// squared_distance_tile call scores every probe, so the block streams
+/// from memory once per tile instead of once per probe. Compatibility
+/// must already be established by the caller: this is the per-block inner
+/// loop, checked once per query, not once per candidate. `out` must hold
+/// num_probes * kSketchBlockWidth doubles; lanes >= width of each row are
+/// scratch (zero-padded candidates leave garbage there).
+void EstimateSquaredDistanceTile(const double* const* queries,
+                                 const double* query_centers,
+                                 int64_t num_probes, int64_t k,
+                                 const double* block,
+                                 const double* candidate_centers,
+                                 int64_t width, double* out);
 
 /// Unbiased estimate of ||x||_2^2 from a single sketch:
 /// ||a||^2 - center(a).

@@ -6,6 +6,7 @@
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
 #include "src/jl/transform.h"
+#include "src/linalg/kernels.h"
 
 namespace dpjl {
 
@@ -176,72 +177,120 @@ Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
 }
 
 template <typename Visit>
-void SketchIndex::ScanBlocks(const PrivateSketch& query, int64_t block_begin,
+void SketchIndex::ScanBlocks(const PrivateSketch* const* probes,
+                             int64_t num_probes, int64_t block_begin,
                              int64_t block_end, Visit&& visit) const {
-  const double* q = query.values().data();
-  const double query_center = query.metadata().noise_center;
-  double dist[kSketchBlockWidth];
+  DPJL_CHECK(num_probes <= kScanTileProbes,
+             "a scan tile holds at most kScanTileProbes probes");
+  const double* q[kScanTileProbes];
+  double probe_centers[kScanTileProbes];
+  for (int64_t p = 0; p < num_probes; ++p) {
+    q[p] = probes[p]->values().data();
+    probe_centers[p] = probes[p]->metadata().noise_center;
+  }
+  double dist[kScanTileProbes * kSketchBlockWidth];
   for (int64_t b = block_begin; b < block_end; ++b) {
     const int64_t base = b * kSketchBlockWidth;
     const int64_t width =
         std::min<int64_t>(kSketchBlockWidth, arena_.count - base);
-    EstimateSquaredDistanceBlock(q, arena_.dim, query_center,
-                                 arena_.BlockAt(b),
-                                 arena_.noise_centers.data() + base, width,
-                                 dist);
-    for (int64_t t = 0; t < width; ++t) {
-      visit(static_cast<size_t>(base + t), dist[t]);
+    EstimateSquaredDistanceTile(q, probe_centers, num_probes, arena_.dim,
+                                arena_.BlockAt(b),
+                                arena_.noise_centers.data() + base, width,
+                                dist);
+    for (int64_t p = 0; p < num_probes; ++p) {
+      for (int64_t t = 0; t < width; ++t) {
+        visit(p, static_cast<size_t>(base + t),
+              dist[p * kSketchBlockWidth + t]);
+      }
     }
   }
 }
 
-std::vector<SketchIndex::Neighbor> SketchIndex::ScanTopK(
-    const PrivateSketch& query, int64_t top_n, int64_t block_begin,
-    int64_t block_end) const {
-  TopK topk(top_n, NeighborLess);
-  topk.Reserve((block_end - block_begin) * kSketchBlockWidth);
-  ScanBlocks(query, block_begin, block_end, [&](size_t ordinal, double dist) {
-    const std::string& id = ids_[ordinal];
-    if (topk.Full()) {
-      // Reject without copying the id unless the candidate NeighborLess-
-      // beats the current worst survivor.
-      const Neighbor& worst = topk.Worst();
-      if (dist > worst.squared_distance ||
-          (dist == worst.squared_distance && id >= worst.id)) {
-        return;
-      }
-    }
-    topk.Push(Neighbor{id, dist});
-  });
-  return topk.TakeSorted();
+std::vector<std::vector<SketchIndex::Neighbor>> SketchIndex::ScanTopK(
+    const PrivateSketch* const* probes, int64_t num_probes, int64_t top_n,
+    int64_t block_begin, int64_t block_end) const {
+  std::vector<TopK> topks(static_cast<size_t>(num_probes),
+                          TopK(top_n, NeighborLess));
+  for (TopK& topk : topks) {
+    topk.Reserve((block_end - block_begin) * kSketchBlockWidth);
+  }
+  ScanBlocks(probes, num_probes, block_begin, block_end,
+             [&](int64_t p, size_t ordinal, double dist) {
+               TopK& topk = topks[static_cast<size_t>(p)];
+               const std::string& id = ids_[ordinal];
+               if (topk.Full()) {
+                 // Reject without copying the id unless the candidate
+                 // NeighborLess-beats the current worst survivor.
+                 const Neighbor& worst = topk.Worst();
+                 if (dist > worst.squared_distance ||
+                     (dist == worst.squared_distance && id >= worst.id)) {
+                   return;
+                 }
+               }
+               topk.Push(Neighbor{id, dist});
+             });
+  std::vector<std::vector<Neighbor>> best;
+  best.reserve(topks.size());
+  for (TopK& topk : topks) best.push_back(topk.TakeSorted());
+  return best;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
     const PrivateSketch& query, int64_t top_n, ThreadPool* pool) const {
+  DPJL_ASSIGN_OR_RETURN(std::vector<std::vector<Neighbor>> lists,
+                        NearestNeighborsBatch({&query}, top_n, pool));
+  return std::move(lists.front());
+}
+
+Result<std::vector<std::vector<SketchIndex::Neighbor>>>
+SketchIndex::NearestNeighborsBatch(
+    const std::vector<const PrivateSketch*>& probes, int64_t top_n,
+    ThreadPool* pool) const {
   if (top_n < 1) {
     return Status::InvalidArgument("top_n must be >= 1");
   }
-  DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
+  for (const PrivateSketch* probe : probes) {
+    DPJL_RETURN_IF_ERROR(CheckQueryCompatible(*probe));
+  }
+  const int64_t num_probes = static_cast<int64_t>(probes.size());
   const int64_t blocks = arena_.blocks();
-  if (pool == nullptr || blocks <= kScanGrainBlocks) {
-    return ScanTopK(query, top_n, 0, blocks);
+  const size_t num_ranges =
+      static_cast<size_t>((blocks + kScanGrainBlocks - 1) / kScanGrainBlocks);
+  std::vector<std::vector<Neighbor>> results;
+  results.reserve(probes.size());
+  for (int64_t first = 0; first < num_probes; first += kScanTileProbes) {
+    const PrivateSketch* const* tile = probes.data() + first;
+    const int64_t tile_size =
+        std::min<int64_t>(kScanTileProbes, num_probes - first);
+    if (pool == nullptr || blocks <= kScanGrainBlocks) {
+      for (std::vector<Neighbor>& best :
+           ScanTopK(tile, tile_size, top_n, 0, blocks)) {
+        results.push_back(std::move(best));
+      }
+      continue;
+    }
+    // Each fixed-grain block range keeps its own bounded top_n per probe.
+    // A probe's global top_n is contained in the union of its ranges'
+    // lists, and the merge imposes the deterministic (distance, id) total
+    // order, so neither the pool nor the scheduling can show through in
+    // the result.
+    std::vector<std::vector<std::vector<Neighbor>>> partial(num_ranges);
+    ThreadPool::Run(pool, 0, blocks, kScanGrainBlocks,
+                    [&](int64_t begin, int64_t end) {
+                      partial[static_cast<size_t>(begin / kScanGrainBlocks)] =
+                          ScanTopK(tile, tile_size, top_n, begin, end);
+                    });
+    for (int64_t p = 0; p < tile_size; ++p) {
+      TopK merged(top_n, NeighborLess);
+      for (std::vector<std::vector<Neighbor>>& range : partial) {
+        for (Neighbor& neighbor : range[static_cast<size_t>(p)]) {
+          merged.Push(std::move(neighbor));
+        }
+      }
+      results.push_back(merged.TakeSorted());
+    }
   }
-  // Each fixed-grain block range keeps its own bounded top_n. The global
-  // top_n is contained in their union, and the merge imposes the
-  // deterministic (distance, id) total order, so neither the pool nor the
-  // scheduling can show through in the result.
-  std::vector<std::vector<Neighbor>> partial(static_cast<size_t>(
-      (blocks + kScanGrainBlocks - 1) / kScanGrainBlocks));
-  ThreadPool::Run(pool, 0, blocks, kScanGrainBlocks,
-                  [&](int64_t begin, int64_t end) {
-                    partial[static_cast<size_t>(begin / kScanGrainBlocks)] =
-                        ScanTopK(query, top_n, begin, end);
-                  });
-  TopK merged(top_n, NeighborLess);
-  for (std::vector<Neighbor>& part : partial) {
-    for (Neighbor& neighbor : part) merged.Push(std::move(neighbor));
-  }
-  return merged.TakeSorted();
+  return results;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
@@ -252,6 +301,7 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
   // Hits per fixed-grain block range, concatenated in range order and then
   // sorted: with or without a pool the sort sees the same multiset.
+  const PrivateSketch* const probe = &query;
   const int64_t blocks = arena_.blocks();
   std::vector<std::vector<Neighbor>> partial(static_cast<size_t>(
       (blocks + kScanGrainBlocks - 1) / kScanGrainBlocks));
@@ -259,9 +309,12 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
       pool, 0, blocks, kScanGrainBlocks, [&](int64_t begin, int64_t end) {
         std::vector<Neighbor>& hits =
             partial[static_cast<size_t>(begin / kScanGrainBlocks)];
-        ScanBlocks(query, begin, end, [&](size_t ordinal, double dist) {
-          if (dist <= radius_sq) hits.push_back(Neighbor{ids_[ordinal], dist});
-        });
+        ScanBlocks(&probe, 1, begin, end,
+                   [&](int64_t, size_t ordinal, double dist) {
+                     if (dist <= radius_sq) {
+                       hits.push_back(Neighbor{ids_[ordinal], dist});
+                     }
+                   });
       });
   std::vector<Neighbor> hits;
   for (std::vector<Neighbor>& part : partial) {
@@ -318,24 +371,30 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
   // cell is written by exactly one row task, so rows parallelize freely.
   // Tiles of kSketchBlockWidth rows, gathered out of their arena lanes
   // into one contiguous buffer, walk each segment's arena blocks
-  // outer-loop first, so one block (k*8 doubles) stays cache-hot across
-  // the whole row tile. The kernels never mix lanes, so a cell's value
-  // depends only on its row and column sketches — not on the tiling, the
-  // segment seams, or which other columns share its block.
+  // outer-loop first; one squared_distance_tile call scores every row of
+  // the tile that still has a j > i in the block, so each block (k*8
+  // doubles) streams once per row tile. The kernels never mix lanes or
+  // probes, so a cell's value depends only on its row and column sketches
+  // — not on the tiling, the segment seams, or which other rows and
+  // columns share its tile.
+  static_assert(kSketchBlockWidth <= kScanTileProbes,
+                "an all-pairs row tile must fit one kernel tile");
   ThreadPool::Run(pool, 0, n, kSketchBlockWidth, [&](int64_t begin,
                                                      int64_t end) {
     std::vector<double> rows(static_cast<size_t>(kSketchBlockWidth * k));
+    const double* row_ptrs[kSketchBlockWidth];
     double row_centers[kSketchBlockWidth];
     for (int64_t i = begin; i < end; ++i) {
       const size_t s = static_cast<size_t>(
           std::upper_bound(offsets.begin(), offsets.end(), i) -
           offsets.begin() - 1);
       const SketchArena& arena = segments[s]->arena_;
+      row_ptrs[i - begin] = rows.data() + (i - begin) * k;
       arena.CopyLane(i - offsets[s], rows.data() + (i - begin) * k);
       row_centers[i - begin] =
           arena.noise_centers[static_cast<size_t>(i - offsets[s])];
     }
-    double dist[kSketchBlockWidth];
+    double dist[kSketchBlockWidth * kSketchBlockWidth];
     for (size_t s = 0; s < segments.size(); ++s) {
       const SketchArena& arena = segments[s]->arena_;
       const int64_t first_block =
@@ -344,18 +403,23 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
         const int64_t col_base = offsets[s] + b * kSketchBlockWidth;
         const int64_t col_width = std::min<int64_t>(
             kSketchBlockWidth, arena.count - b * kSketchBlockWidth);
-        const double* centers =
-            arena.noise_centers.data() + b * kSketchBlockWidth;
-        for (int64_t i = begin; i < end; ++i) {
-          if (i + 1 >= col_base + col_width) continue;  // no j > i here
-          EstimateSquaredDistanceBlock(rows.data() + (i - begin) * k, k,
-                                       row_centers[i - begin],
-                                       arena.BlockAt(b), centers, col_width,
-                                       dist);
+        // Rows i < col_base + col_width - 1 still have a j > i here; they
+        // are a prefix of the row tile, empty when the whole block lies at
+        // or before the tile's first row.
+        const int64_t live_rows =
+            std::min(end, col_base + col_width - 1) - begin;
+        if (live_rows <= 0) continue;
+        EstimateSquaredDistanceTile(
+            row_ptrs, row_centers, live_rows, k, arena.BlockAt(b),
+            arena.noise_centers.data() + b * kSketchBlockWidth, col_width,
+            dist);
+        for (int64_t r = 0; r < live_rows; ++r) {
+          const int64_t i = begin + r;
           for (int64_t j = std::max(col_base, i + 1);
                j < col_base + col_width; ++j) {
-            matrix.values[static_cast<size_t>(i * n + j)] = dist[j - col_base];
-            matrix.values[static_cast<size_t>(j * n + i)] = dist[j - col_base];
+            const double value = dist[r * kSketchBlockWidth + j - col_base];
+            matrix.values[static_cast<size_t>(i * n + j)] = value;
+            matrix.values[static_cast<size_t>(j * n + i)] = value;
           }
         }
       }

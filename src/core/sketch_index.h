@@ -26,16 +26,19 @@ namespace dpjl {
 /// column-block layout) SoA store of the sketch values plus parallel arrays
 /// of cached raw squared norms and noise centers. The arena is the only
 /// copy of the values: Find() rebuilds a PrivateSketch from its lane, bit
-/// for bit the sketch that was added. Queries scan the
-/// arena with the multi-candidate distance kernels, eight candidates per
-/// pass; with a ThreadPool they split it into fixed-grain block ranges and
-/// merge by the deterministic (distance, id) order. The arena grows
-/// incrementally on Add/AddBatch (every insertion funnels through one
-/// append point) and is therefore rebuilt for free on
-/// Deserialize/FromPartitions, which insert through the same point. The
-/// kernels vectorize across candidate lanes only and never reassociate a
-/// reduction, so every query result is byte-identical to the per-entry
-/// scalar scan in every dispatch mode, at any thread count or none.
+/// for bit the sketch that was added. Every query scans the arena through
+/// one multi-probe kernel, squared_distance_tile: each pass scores up to
+/// kScanTileProbes probes (a batch tile, an all-pairs row tile, or a lone
+/// query) against eight candidates, so a block streams from memory once
+/// per tile rather than once per probe; with a ThreadPool a scan splits
+/// into fixed-grain block ranges and merges by the deterministic
+/// (distance, id) order. The arena grows incrementally on Add/AddBatch
+/// (every insertion funnels through one append point) and is therefore
+/// rebuilt for free on Deserialize/FromPartitions, which insert through
+/// the same point. The kernel vectorizes across candidate lanes and probes
+/// only and never reassociates a reduction, so every query result is
+/// byte-identical to the per-entry scalar scan in every dispatch mode, at
+/// any thread count or none.
 ///
 /// All stored sketches must be mutually compatible (same public
 /// projection); Add() enforces this. The index stores released artifacts
@@ -94,6 +97,18 @@ class SketchIndex {
                                                  int64_t top_n,
                                                  ThreadPool* pool = nullptr) const;
 
+  /// NearestNeighbors for many probes at once: element i is exactly what
+  /// NearestNeighbors(*probes[i], top_n, pool) returns, byte for byte.
+  /// Probes are scored kScanTileProbes at a time, so one pass over the
+  /// arena serves a whole tile; with a pool each tile's pass splits into
+  /// the same fixed-grain block ranges as a single query. Fails with
+  /// kInvalidArgument when top_n < 1, else with the estimator's
+  /// kFailedPrecondition when any probe is incompatible; an empty batch
+  /// yields an empty list.
+  Result<std::vector<std::vector<Neighbor>>> NearestNeighborsBatch(
+      const std::vector<const PrivateSketch*>& probes, int64_t top_n,
+      ThreadPool* pool = nullptr) const;
+
   /// All stored sketches within estimated squared distance `radius_sq` of
   /// `query`, ascending. The noise floor applies: radii below
   /// sqrt(Var[E_hat]) admit false positives/negatives at the boundary.
@@ -121,7 +136,7 @@ class SketchIndex {
   /// straight from their arenas. The engine serves its owned index plus
   /// attached partitions through this, and a single index is the
   /// one-segment case, so the monolithic and scatter-gather matrices can
-  /// never diverge: each cell comes from one block-kernel call with the
+  /// never diverge: each cell comes from one tile-kernel call with the
   /// same row and column values wherever the segment seams fall. Fails
   /// with kFailedPrecondition when two segments hold incompatible
   /// sketches.
@@ -205,19 +220,21 @@ class SketchIndex {
   /// per query standing in for the per-entry checks of a per-pair scan.
   Status CheckQueryCompatible(const PrivateSketch& query) const;
 
-  /// Blocked arena scan of blocks [block_begin, block_end): calls
-  /// `visit(ordinal, estimate)` for every stored sketch in them, in
-  /// ordinal order. Requires CheckQueryCompatible to have passed.
+  /// Blocked arena scan of blocks [block_begin, block_end) for a tile of
+  /// `num_probes` <= kScanTileProbes probes: calls
+  /// `visit(probe, ordinal, estimate)` for every (probe, stored sketch)
+  /// pair in them, each probe's sketches in ordinal order. Requires
+  /// CheckQueryCompatible to have passed for every probe.
   template <typename Visit>
-  void ScanBlocks(const PrivateSketch& query, int64_t block_begin,
-                  int64_t block_end, Visit&& visit) const;
+  void ScanBlocks(const PrivateSketch* const* probes, int64_t num_probes,
+                  int64_t block_begin, int64_t block_end,
+                  Visit&& visit) const;
 
-  /// The top_n nearest to `query` within blocks [block_begin, block_end),
-  /// ascending.
-  [[nodiscard]] std::vector<Neighbor> ScanTopK(const PrivateSketch& query,
-                                               int64_t top_n,
-                                               int64_t block_begin,
-                                               int64_t block_end) const;
+  /// For each probe of the tile, the top_n nearest within blocks
+  /// [block_begin, block_end), ascending.
+  [[nodiscard]] std::vector<std::vector<Neighbor>> ScanTopK(
+      const PrivateSketch* const* probes, int64_t num_probes, int64_t top_n,
+      int64_t block_begin, int64_t block_end) const;
 
   /// Appends an entry assuming the caller already established id
   /// uniqueness and sketch compatibility (Add/AddBatch validation, or a

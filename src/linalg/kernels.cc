@@ -111,32 +111,35 @@ void ScaleScalar(double* v, int64_t n, double a) {
   for (int64_t i = 0; i < n; ++i) v[i] *= a;
 }
 
-void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
-                                int64_t width, double* out) {
-  for (int64_t t = 0; t < width; ++t) out[t] = 0.0;
-  for (int64_t j = 0; j < k; ++j) {
-    const double qj = q[j];
-    const double* cj = c + j * width;
-    for (int64_t t = 0; t < width; ++t) {
-      const double diff = qj - cj[t];
-      out[t] += diff * diff;
+void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
+                               const double* c, int64_t k, int64_t width,
+                               double* out) {
+  // Probe-major: each (p, t) cell runs the per-pair estimator's loop. The
+  // vector tables walk j outermost and share each block row across the
+  // probes instead, which changes no cell's operation sequence.
+  for (int64_t p = 0; p < nq; ++p) {
+    const double* qp = q[p];
+    double* op = out + p * width;
+    for (int64_t t = 0; t < width; ++t) op[t] = 0.0;
+    for (int64_t j = 0; j < k; ++j) {
+      const double qj = qp[j];
+      const double* cj = c + j * width;
+      for (int64_t t = 0; t < width; ++t) {
+        const double diff = qj - cj[t];
+        op[t] += diff * diff;
+      }
     }
-  }
-}
-
-void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out) {
-  for (int64_t t = 0; t < width; ++t) out[t] = 0.0;
-  for (int64_t j = 0; j < k; ++j) {
-    const double qj = q[j];
-    const double* cj = c + j * width;
-    for (int64_t t = 0; t < width; ++t) out[t] += qj * cj[t];
   }
 }
 
 }  // namespace internal
 
 namespace {
+
+void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
+                                int64_t width, double* out) {
+  internal::SquaredDistanceTileScalar(&q, 1, c, k, width, out);
+}
 
 const KernelOps kScalarOps = {
     "scalar",
@@ -148,8 +151,8 @@ const KernelOps kScalarOps = {
     internal::CsrApplyBlockScalar,
     internal::SjltColumnBlockScalar,
     internal::ScaleScalar,
-    internal::SquaredDistanceBlockScalar,
-    internal::DotBlockScalar,
+    internal::SquaredDistanceTileScalar,
+    SquaredDistanceBlockScalar,
 };
 
 bool CpuHasAvx2() {

@@ -5,6 +5,9 @@
 
 namespace dpjl {
 
+/// Most probes one squared_distance_tile call scores against a column block.
+inline constexpr int64_t kScanTileProbes = 8;
+
 /// Runtime-dispatched inner loops of the sketching hot path.
 ///
 /// Every function table implements the SAME math in the SAME per-element
@@ -67,20 +70,26 @@ struct KernelOps {
   /// Elementwise v[i] *= a over [0, n) (FWHT/JL normalization sweeps).
   void (*scale)(double* v, int64_t n, double a);
 
-  /// Multi-candidate squared distance against one column block: for each
-  /// lane t, out[t] = sum_j (q[j] - c[j*width + t])^2, accumulated in
-  /// ascending j with one accumulator per lane — the exact operation
-  /// sequence of the scalar per-pair estimator loop. Vector tables
-  /// parallelize across lanes only; the j reduction is never reassociated,
-  /// so each lane is bit-identical to a scalar per-entry scan.
+  /// Multi-probe squared distance against one column block: for each probe
+  /// p < nq and lane t < width,
+  ///   out[p * width + t] = sum_j (q[p][j] - c[j*width + t])^2,
+  /// accumulated in ascending j with one accumulator per (p, t) — the exact
+  /// operation sequence of the scalar per-pair estimator loop (subtract,
+  /// multiply, add; no FMA). Vector tables parallelize across lanes and
+  /// probes only; the j reduction is never reassociated, so every (p, t)
+  /// cell is bit-identical to a scalar per-entry scan. One load of a block
+  /// row feeds all nq probes, which is what makes a batch cheaper than nq
+  /// single scans. Requires 0 <= nq <= kScanTileProbes; probe pointers may
+  /// alias one another (duplicate probes) but not `out`.
+  void (*squared_distance_tile)(const double* const* q, int64_t nq,
+                                const double* c, int64_t k, int64_t width,
+                                double* out);
+
+  /// The one-probe case of squared_distance_tile: out[t] for q = q[0].
+  /// Every table implements it as that call, so each keeps one distance
+  /// loop.
   void (*squared_distance_block)(const double* q, const double* c, int64_t k,
                                  int64_t width, double* out);
-
-  /// Multi-candidate dot product against one column block: for each lane t,
-  /// out[t] = sum_j q[j] * c[j*width + t], same ordering discipline as
-  /// squared_distance_block (multiply-then-add, two roundings, ascending j).
-  void (*dot_block)(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out);
 };
 
 /// The table every hot path dispatches through, selected once on first use:

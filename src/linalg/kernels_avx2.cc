@@ -279,44 +279,71 @@ void SjltColumnBlockAvx2(const double* x, int64_t width, double scale,
   }
 }
 
-void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
-                              int64_t width, double* out) {
-  if (width == 8) {
-    // The arena's native width: two ymm accumulators, one lane per
-    // candidate. Each lane runs the scalar estimator's exact sequence —
-    // subtract, square (one rounding), accumulate (one rounding) — in
-    // ascending j; only the candidate axis is vectorized.
-    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-    for (int64_t j = 0; j < k; ++j) {
-      const double* cj = c + j * 8;
-      const __m256d qj = _mm256_set1_pd(q[j]);
-      const __m256d d0 = _mm256_sub_pd(qj, _mm256_loadu_pd(cj));
-      const __m256d d1 = _mm256_sub_pd(qj, _mm256_loadu_pd(cj + 4));
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
+namespace {
+
+/// NQ probes against one 8-lane block: two ymm accumulators per probe, and
+/// each block row is loaded once for all NQ of them. NQ <= 4 keeps the
+/// 2 * NQ accumulators, the row and the differences within the 16 ymm
+/// registers. Each lane runs the scalar estimator's exact sequence —
+/// subtract, square (one rounding), accumulate (one rounding) — in
+/// ascending j; only the probe and candidate axes are vectorized.
+template <int NQ>
+void SquaredDistanceTile8Avx2(const double* const* q, const double* c,
+                              int64_t k, double* out) {
+  __m256d lo[NQ];
+  __m256d hi[NQ];
+#pragma GCC unroll 4
+  for (int p = 0; p < NQ; ++p) lo[p] = hi[p] = _mm256_setzero_pd();
+  for (int64_t j = 0; j < k; ++j) {
+    const __m256d c0 = _mm256_loadu_pd(c + j * 8);
+    const __m256d c1 = _mm256_loadu_pd(c + j * 8 + 4);
+#pragma GCC unroll 4
+    for (int p = 0; p < NQ; ++p) {
+      const __m256d qj = _mm256_set1_pd(q[p][j]);
+      const __m256d d0 = _mm256_sub_pd(qj, c0);
+      const __m256d d1 = _mm256_sub_pd(qj, c1);
+      lo[p] = _mm256_add_pd(lo[p], _mm256_mul_pd(d0, d0));
+      hi[p] = _mm256_add_pd(hi[p], _mm256_mul_pd(d1, d1));
     }
-    _mm256_storeu_pd(out, a0);
-    _mm256_storeu_pd(out + 4, a1);
-    return;
   }
-  SquaredDistanceBlockScalar(q, c, k, width, out);
+#pragma GCC unroll 4
+  for (int p = 0; p < NQ; ++p) {
+    _mm256_storeu_pd(out + p * 8, lo[p]);
+    _mm256_storeu_pd(out + p * 8 + 4, hi[p]);
+  }
 }
 
-void DotBlockAvx2(const double* q, const double* c, int64_t k, int64_t width,
-                  double* out) {
-  if (width == 8) {
-    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-    for (int64_t j = 0; j < k; ++j) {
-      const double* cj = c + j * 8;
-      const __m256d qj = _mm256_set1_pd(q[j]);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(qj, _mm256_loadu_pd(cj)));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(qj, _mm256_loadu_pd(cj + 4)));
-    }
-    _mm256_storeu_pd(out, a0);
-    _mm256_storeu_pd(out + 4, a1);
+void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
+                              int64_t width, double* out) {
+  SquaredDistanceTileAvx2(&q, 1, c, k, width, out);
+}
+
+}  // namespace
+
+void SquaredDistanceTileAvx2(const double* const* q, int64_t nq,
+                             const double* c, int64_t k, int64_t width,
+                             double* out) {
+  if (width != 8) {
+    SquaredDistanceTileScalar(q, nq, c, k, width, out);
     return;
   }
-  DotBlockScalar(q, c, k, width, out);
+  // The arena's native width: groups of up to four probes per block pass.
+  for (int64_t p = 0; p < nq; p += 4) {
+    switch (nq - p) {
+      case 1:
+        SquaredDistanceTile8Avx2<1>(q + p, c, k, out + p * 8);
+        break;
+      case 2:
+        SquaredDistanceTile8Avx2<2>(q + p, c, k, out + p * 8);
+        break;
+      case 3:
+        SquaredDistanceTile8Avx2<3>(q + p, c, k, out + p * 8);
+        break;
+      default:
+        SquaredDistanceTile8Avx2<4>(q + p, c, k, out + p * 8);
+        break;
+    }
+  }
 }
 
 void ScaleAvx2(double* v, int64_t n, double a) {
@@ -339,8 +366,8 @@ const KernelOps& Avx2Kernels() {
       CsrApplyBlockAvx2,
       SjltColumnBlockAvx2,
       ScaleAvx2,
+      SquaredDistanceTileAvx2,
       SquaredDistanceBlockAvx2,
-      DotBlockAvx2,
   };
   return kOps;
 }

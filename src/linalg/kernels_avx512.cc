@@ -223,35 +223,60 @@ void SjltColumnBlockAvx512(const double* x, int64_t width, double scale,
   }
 }
 
-void SquaredDistanceBlockAvx512(const double* q, const double* c, int64_t k,
-                                int64_t width, double* out) {
-  if (width != 8) {
-    SquaredDistanceBlockAvx2(q, c, k, width, out);
-    return;
-  }
-  // One zmm accumulator holds all eight candidate lanes; the j reduction
-  // stays a single sequential accumulator per lane, as in the scalar spec.
-  __m512d acc = _mm512_setzero_pd();
+/// NQ probes against one 8-lane block: one zmm accumulator per probe holds
+/// all eight candidate lanes, and each block row is loaded once for all NQ
+/// probes. The j reduction stays a single sequential accumulator per
+/// (probe, lane), as in the scalar spec; NQ = 1 is the one-probe loop.
+template <int NQ>
+void SquaredDistanceTile8Avx512(const double* const* q, const double* c,
+                                int64_t k, double* out) {
+  __m512d acc[NQ];
+#pragma GCC unroll 8
+  for (int p = 0; p < NQ; ++p) acc[p] = _mm512_setzero_pd();
   for (int64_t j = 0; j < k; ++j) {
-    const __m512d d =
-        _mm512_sub_pd(_mm512_set1_pd(q[j]), _mm512_loadu_pd(c + j * 8));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(d, d));
+    const __m512d cj = _mm512_loadu_pd(c + j * 8);
+#pragma GCC unroll 8
+    for (int p = 0; p < NQ; ++p) {
+      const __m512d d = _mm512_sub_pd(_mm512_set1_pd(q[p][j]), cj);
+      acc[p] = _mm512_add_pd(acc[p], _mm512_mul_pd(d, d));
+    }
   }
-  _mm512_storeu_pd(out, acc);
+#pragma GCC unroll 8
+  for (int p = 0; p < NQ; ++p) _mm512_storeu_pd(out + p * 8, acc[p]);
 }
 
-void DotBlockAvx512(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out) {
+void SquaredDistanceTileAvx512(const double* const* q, int64_t nq,
+                               const double* c, int64_t k, int64_t width,
+                               double* out) {
   if (width != 8) {
-    DotBlockAvx2(q, c, k, width, out);
+    SquaredDistanceTileAvx2(q, nq, c, k, width, out);
     return;
   }
-  __m512d acc = _mm512_setzero_pd();
-  for (int64_t j = 0; j < k; ++j) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_set1_pd(q[j]), _mm512_loadu_pd(c + j * 8)));
+  switch (nq) {
+    case 0:
+      return;
+    case 1:
+      return SquaredDistanceTile8Avx512<1>(q, c, k, out);
+    case 2:
+      return SquaredDistanceTile8Avx512<2>(q, c, k, out);
+    case 3:
+      return SquaredDistanceTile8Avx512<3>(q, c, k, out);
+    case 4:
+      return SquaredDistanceTile8Avx512<4>(q, c, k, out);
+    case 5:
+      return SquaredDistanceTile8Avx512<5>(q, c, k, out);
+    case 6:
+      return SquaredDistanceTile8Avx512<6>(q, c, k, out);
+    case 7:
+      return SquaredDistanceTile8Avx512<7>(q, c, k, out);
+    default:
+      return SquaredDistanceTile8Avx512<8>(q, c, k, out);
   }
-  _mm512_storeu_pd(out, acc);
+}
+
+void SquaredDistanceBlockAvx512(const double* q, const double* c, int64_t k,
+                                int64_t width, double* out) {
+  SquaredDistanceTileAvx512(&q, 1, c, k, width, out);
 }
 
 void ScaleAvx512(double* v, int64_t n, double a) {
@@ -277,8 +302,8 @@ const KernelOps& Avx512Kernels() {
       CsrApplyBlockAvx512,
       SjltColumnBlockAvx512,
       ScaleAvx512,
+      SquaredDistanceTileAvx512,
       SquaredDistanceBlockAvx512,
-      DotBlockAvx512,
   };
   return kOps;
 }

@@ -29,10 +29,9 @@ void SjltColumnBlockScalar(const double* x, int64_t width, double scale,
                            const int64_t* rows, const double* signs, int64_t s,
                            double* y);
 void ScaleScalar(double* v, int64_t n, double a);
-void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
-                                int64_t width, double* out);
-void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out);
+void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
+                               const double* c, int64_t k, int64_t width,
+                               double* out);
 
 #ifdef DPJL_HAVE_AVX2_KERNELS
 const KernelOps& Avx2Kernels();
@@ -54,10 +53,9 @@ void SjltColumnBlockAvx2(const double* x, int64_t width, double scale,
                          const int64_t* rows, const double* signs, int64_t s,
                          double* y);
 void ScaleAvx2(double* v, int64_t n, double a);
-void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
-                              int64_t width, double* out);
-void DotBlockAvx2(const double* q, const double* c, int64_t k, int64_t width,
-                  double* out);
+void SquaredDistanceTileAvx2(const double* const* q, int64_t nq,
+                             const double* c, int64_t k, int64_t width,
+                             double* out);
 #endif
 
 #ifdef DPJL_HAVE_AVX512_KERNELS

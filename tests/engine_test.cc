@@ -1158,6 +1158,91 @@ TEST(EngineTest, SubmitQueryBatchByteIdenticalToIndividualSubmits) {
   }
 }
 
+TEST(EngineTest, SubmitQueryBatchFailsWithTheLowestIndexFailingProbesStatus) {
+  // A batch fails with exactly the status its lowest-index failing probe's
+  // SubmitQuery returns, whichever tile that probe lands in.
+  const DirectReference ref = MakeReference(23);
+  SketcherConfig other = BaseSketcher();
+  other.projection_seed = kTestSeed + 1;
+  const PrivateSketch alien =
+      MakeSketcherOrDie(64, other).Sketch(ref.xs[0], 7);
+  std::vector<PrivateSketch> queries;
+  for (int i = 0; i < 12; ++i) {
+    queries.push_back(i == 3 ? alien
+                             : ref.sketcher.Sketch(
+                                   ref.xs[static_cast<size_t>(i)],
+                                   1000 + static_cast<uint64_t>(i)));
+  }
+  for (int threads : kThreadCounts) {
+    EngineOptions options = BaseOptions();
+    options.threads = threads;
+    std::unique_ptr<Engine> engine = MakeEngineOrDie(64, options);
+    for (size_t i = 0; i < ref.xs.size(); ++i) {
+      ASSERT_TRUE(engine
+                      ->InsertVector("doc-" + std::to_string((i * 37) % 101),
+                                     ref.xs[i], 500 + static_cast<uint64_t>(i))
+                      .ok());
+    }
+    const Status incompatible = engine->SubmitQuery(alien, 5).Get().status();
+    ASSERT_EQ(incompatible.code(), StatusCode::kFailedPrecondition);
+    const auto batched = engine->SubmitQueryBatch(queries, 5).Get();
+    EXPECT_EQ(batched.status().code(), incompatible.code());
+    EXPECT_EQ(batched.status().message(), incompatible.message());
+    // With top_n = 0 every probe fails, probe 0 first.
+    const Status invalid = engine->SubmitQuery(queries[0], 0).Get().status();
+    ASSERT_EQ(invalid.code(), StatusCode::kInvalidArgument);
+    const auto zero = engine->SubmitQueryBatch(queries, 0).Get();
+    EXPECT_EQ(zero.status().code(), invalid.code());
+    EXPECT_EQ(zero.status().message(), invalid.message());
+  }
+}
+
+TEST(EngineTest, CancelRacingAnInFlightBatchNeverReturnsAPartialResult) {
+  // A 64-probe batch is eight tiles, with a cancellation point before each
+  // (tile, segment) step. Cancelling it at varying moments resolves to
+  // either the complete correct answer or kCancelled — never a result
+  // with some probes answered and the rest missing.
+  const DirectReference ref = MakeReference(101);
+  std::unique_ptr<Engine> engine = MakeEngineOrDie(64, BaseOptions());
+  for (size_t i = 0; i < ref.xs.size(); ++i) {
+    ASSERT_TRUE(engine
+                    ->InsertVector("doc-" + std::to_string((i * 37) % 101),
+                                   ref.xs[i], 500 + static_cast<uint64_t>(i))
+                    .ok());
+  }
+  std::vector<PrivateSketch> queries;
+  std::vector<std::vector<SketchIndex::Neighbor>> expected;
+  for (size_t i = 0; i < 64; ++i) {
+    queries.push_back(ref.sketcher.Sketch(ref.xs[i], 3000 + i));
+    expected.push_back(engine->NearestNeighbors(queries.back(), 5).value());
+  }
+
+  // Uncancelled, the batch answers all 64 probes, each as a lone query.
+  const auto full = engine->SubmitQueryBatch(queries, 5).Get();
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ExpectSameNeighbors((*full)[i], expected[i]);
+  }
+
+  for (int round = 0; round < 20; ++round) {
+    auto future = engine->SubmitQueryBatch(queries, 5);
+    std::this_thread::sleep_for(std::chrono::microseconds(25 * round));
+    future.Cancel();
+    const auto result = future.Get();
+    if (result.ok()) {
+      ASSERT_EQ(result->size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ExpectSameNeighbors((*result)[i], expected[i]);
+      }
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+          << result.status();
+    }
+  }
+  engine->WaitIdle();
+}
+
 TEST(EngineTest, StatsCountersConsistentWithStagedOutcomes) {
   const DirectReference ref = MakeReference(11);
   EngineOptions options = BaseOptions();

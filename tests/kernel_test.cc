@@ -104,8 +104,8 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.csr_apply_block, nullptr);
   EXPECT_NE(active.sjlt_column_block, nullptr);
   EXPECT_NE(active.scale, nullptr);
+  EXPECT_NE(active.squared_distance_tile, nullptr);
   EXPECT_NE(active.squared_distance_block, nullptr);
-  EXPECT_NE(active.dot_block, nullptr);
 }
 
 TEST(KernelDispatchTest, TestOverridePinsAndRestores) {
@@ -342,22 +342,67 @@ TEST(KernelBitExactnessTest, SquaredDistanceBlock) {
   }
 }
 
-TEST(KernelBitExactnessTest, DotBlock) {
-  const KernelOps& scalar = ScalarKernels();
-  for (const KernelOps* table : VectorTables()) {
-    for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{13},
-                      int64_t{96}}) {
-      for (int64_t width = 1; width <= 8; ++width) {
-        const std::vector<double> q =
-            TestVector(k, 811 + static_cast<uint64_t>(k * 8 + width));
-        const std::vector<double> block = TestVector(
-            k * width, 877 + static_cast<uint64_t>(k * 8 + width));
-        std::vector<double> expect(static_cast<size_t>(width), -1.0);
-        std::vector<double> got(static_cast<size_t>(width), -1.0);
-        scalar.dot_block(q.data(), block.data(), k, width, expect.data());
-        table->dot_block(q.data(), block.data(), k, width, got.data());
-        EXPECT_TRUE(BytesEqual(expect, got))
-            << table->name << " dot_block k=" << k << " width=" << width;
+TEST(KernelBitExactnessTest, SquaredDistanceTile) {
+  // The reference is the per-pair estimator loop written out here, one
+  // (probe, lane) cell at a time, so the scalar table is checked as well
+  // as the vector tables. Outputs carry a sentinel tail: a kernel must not
+  // write past nq * width.
+  std::vector<const KernelOps*> tables = {&ScalarKernels()};
+  for (const KernelOps* table : VectorTables()) tables.push_back(table);
+  constexpr int64_t kSentinel = 8;
+  for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{13},
+                    int64_t{96}, int64_t{1480}}) {
+    for (int64_t width = 1; width <= 8; ++width) {
+      const std::vector<double> block = TestVector(
+          k * width, 1201 + static_cast<uint64_t>(k * 8 + width));
+      std::vector<std::vector<double>> probes;
+      for (int64_t p = 0; p < kScanTileProbes; ++p) {
+        probes.push_back(TestVector(
+            k, 1301 + static_cast<uint64_t>((k * 8 + width) * 8 + p)));
+      }
+      // Distinct probes for every tile size, then tiles whose probe
+      // pointers alias one another (duplicate probes in one batch).
+      std::vector<std::vector<const double*>> tiles;
+      for (int64_t nq = 1; nq <= kScanTileProbes; ++nq) {
+        std::vector<const double*> tile;
+        for (int64_t p = 0; p < nq; ++p) tile.push_back(probes[p].data());
+        tiles.push_back(tile);
+      }
+      tiles.push_back({probes[2].data(), probes[2].data(), probes[5].data(),
+                       probes[2].data()});
+      tiles.push_back(std::vector<const double*>(
+          static_cast<size_t>(kScanTileProbes), probes[7].data()));
+      for (const std::vector<const double*>& tile : tiles) {
+        const int64_t nq = static_cast<int64_t>(tile.size());
+        std::vector<double> expect(static_cast<size_t>(nq * width + kSentinel),
+                                   -1.0);
+        for (int64_t p = 0; p < nq; ++p) {
+          for (int64_t t = 0; t < width; ++t) {
+            double acc = 0.0;
+            for (int64_t j = 0; j < k; ++j) {
+              const double diff = tile[p][j] - block[j * width + t];
+              acc += diff * diff;
+            }
+            expect[p * width + t] = acc;
+          }
+        }
+        for (const KernelOps* table : tables) {
+          std::vector<double> got(expect.size(), -1.0);
+          table->squared_distance_tile(tile.data(), nq, block.data(), k, width,
+                                       got.data());
+          EXPECT_TRUE(BytesEqual(expect, got))
+              << table->name << " squared_distance_tile k=" << k
+              << " width=" << width << " nq=" << nq;
+          // The one-probe kernel is tile row 0, byte for byte.
+          std::vector<double> row0(static_cast<size_t>(width), -1.0);
+          table->squared_distance_block(tile[0], block.data(), k, width,
+                                        row0.data());
+          EXPECT_EQ(std::memcmp(row0.data(), got.data(),
+                                row0.size() * sizeof(double)),
+                    0)
+              << table->name << " squared_distance_block vs tile row 0 k=" << k
+              << " width=" << width << " nq=" << nq;
+        }
       }
     }
   }

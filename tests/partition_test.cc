@@ -144,6 +144,52 @@ TEST(PartitionedServingTest, ByteIdenticalToMonolithicAcrossMatrix) {
   }
 }
 
+TEST(PartitionedServingTest, BatchOverOwnedSegmentAndPartitionsMatchesMonolith) {
+  // An owned segment plus 3 attached partitions, seams mid-block, served a
+  // 17-probe batch (tiles of 8, 8 and 1): every probe's list equals the
+  // monolithic index's answer for it.
+  const Corpus corpus = MakeCorpus(57);
+  const std::vector<std::string>& ids = corpus.index.ids();
+  const size_t kSeams[] = {0, 15, 20, 41, ids.size()};
+  std::vector<PrivateSketch> probes = corpus.batch_probes;
+  Rng rng(kTestSeed + 17);
+  while (probes.size() < 17) {
+    probes.push_back(corpus.sketcher.Sketch(
+        DenseGaussianVector(48, 1.0, &rng), 3000 + probes.size()));
+  }
+  for (const int threads : kThreadCounts) {
+    std::vector<SketchIndex> segments(4);
+    for (size_t s = 0; s < 4; ++s) {
+      for (size_t i = kSeams[s]; i < kSeams[s + 1]; ++i) {
+        ASSERT_TRUE(segments[s].Add(ids[i], *corpus.index.Find(ids[i])).ok());
+      }
+    }
+    EngineOptions options;
+    options.sketcher = BaseSketcher();
+    options.threads = threads;
+    auto built = Engine::FromIndex(std::move(segments[0]), options);
+    ASSERT_TRUE(built.ok()) << built.status();
+    std::unique_ptr<Engine> engine = std::move(built).value();
+    for (size_t s = 1; s < 4; ++s) {
+      ASSERT_TRUE(engine->AttachPartition(std::move(segments[s])).ok());
+    }
+    ASSERT_EQ(engine->ids(), ids);
+    for (const int64_t top_n : {int64_t{1}, int64_t{4}, int64_t{64}}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " top_n=" + std::to_string(top_n);
+      const auto batch = engine->SubmitQueryBatch(probes, top_n).Get();
+      ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
+      ASSERT_EQ(batch->size(), probes.size()) << label;
+      for (size_t i = 0; i < probes.size(); ++i) {
+        ExpectSameNeighbors((*batch)[i],
+                            corpus.index.NearestNeighbors(probes[i], top_n)
+                                .value(),
+                            label + " probe " + std::to_string(i));
+      }
+    }
+  }
+}
+
 TEST(PartitionedServingTest, SquaredDistanceAndAllPairsSpanPartitions) {
   const Corpus corpus = MakeCorpus(12);
   const std::unique_ptr<Engine> engine =

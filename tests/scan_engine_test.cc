@@ -1,11 +1,11 @@
 // Equivalence suite for the query-path scan engine (the sketch arena +
-// multi-candidate distance kernels behind SketchIndex queries).
+// multi-probe distance kernel behind SketchIndex queries).
 //
 // The contract under test is byte-identity: the blocked arena scan must
 // reproduce the pre-arena per-entry scalar path — one EstimateSquaredDistance
 // call per stored sketch, full deterministic (distance, id) sort — exactly,
 // for every kernel dispatch table, across dims x corpus sizes x thread
-// counts, including arenas rebuilt by Deserialize /
+// counts x batch sizes, including arenas rebuilt by Deserialize /
 // FromPartitions and arenas grown after a partition attach. All comparisons
 // are memcmp over serialized results; EXPECT_DOUBLE_EQ would hide exactly
 // the reassociation/FMA bugs this layer can have.
@@ -142,6 +142,8 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
   // 300 spans several fixed-grain scan tasks (the last one partial), so
   // the pool-parallel split and merge run too.
   const int64_t kCorpus[] = {1, 7, 8, 100, 300};
+  // Batch sizes on both sides of the kScanTileProbes = 8 tile boundary.
+  const int64_t kBatchSizes[] = {1, 7, 8, 9, 17};
   ThreadPool pool1(1), pool2(2), pool7(7);
   ThreadPool* const pools[] = {&pool1, &pool2, &pool7};
 
@@ -150,11 +152,25 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
     Rng rng(DeriveSeed(kTestSeed, static_cast<uint64_t>(k)));
     const PrivateSketch query =
         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 9999);
+    // Every sixth item repeats the previous item's sketch byte for byte
+    // under a different id: the pair ties on distance to every probe, so
+    // only the id tie-break orders it.
     std::vector<std::pair<std::string, PrivateSketch>> corpus;
     for (int64_t i = 0; i < 300; ++i) {
-      corpus.emplace_back("item-" + std::to_string(i),
-                          sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
-                                          static_cast<uint64_t>(1 + i)));
+      corpus.emplace_back(
+          "item-" + std::to_string(i),
+          i % 6 == 5 ? corpus.back().second
+                     : sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                       static_cast<uint64_t>(1 + i)));
+    }
+    // Batch probes: the query first, then fresh probes, with probe 4
+    // repeating probe 2 so one tile holds duplicate probes.
+    std::vector<PrivateSketch> batch_probes = {query};
+    for (int64_t i = 1; i < 17; ++i) {
+      batch_probes.push_back(
+          i == 4 ? batch_probes[2]
+                 : sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                   static_cast<uint64_t>(20000 + i)));
     }
 
     for (const int64_t n : kCorpus) {
@@ -176,6 +192,10 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
       const int64_t kTopNs[] = {1, 3, n + 7};
       const SketchIndex::DistanceMatrix ref_matrix =
           ReferenceAllPairs(ref_index);
+      std::vector<std::vector<SketchIndex::Neighbor>> ref_batch_scans;
+      for (const PrivateSketch& probe : batch_probes) {
+        ref_batch_scans.push_back(ReferenceScan(ref_index, probe));
+      }
 
       SketchIndex index;
       ASSERT_TRUE(index.AddBatch({corpus.begin(), corpus.begin() + n}).ok());
@@ -190,6 +210,24 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
             ASSERT_TRUE(got.ok()) << got.status();
             EXPECT_EQ(NeighborBytes(*got),
                       NeighborBytes(ReferenceNearest(ref_scan, top_n)));
+            for (const int64_t batch : kBatchSizes) {
+              std::vector<const PrivateSketch*> probes;
+              for (int64_t i = 0; i < batch; ++i) {
+                probes.push_back(&batch_probes[static_cast<size_t>(i)]);
+              }
+              const auto lists =
+                  index.NearestNeighborsBatch(probes, top_n, pool);
+              ASSERT_TRUE(lists.ok()) << lists.status();
+              ASSERT_EQ(static_cast<int64_t>(lists->size()), batch);
+              for (int64_t i = 0; i < batch; ++i) {
+                const size_t slot = static_cast<size_t>(i);
+                EXPECT_EQ(NeighborBytes((*lists)[slot]),
+                          NeighborBytes(ReferenceNearest(
+                              ref_batch_scans[slot], top_n)))
+                    << "batch=" << batch << " top_n=" << top_n
+                    << " probe=" << i;
+              }
+            }
           }
           const auto hits = index.RangeQuery(query, radius, pool);
           ASSERT_TRUE(hits.ok()) << hits.status();
@@ -382,6 +420,18 @@ TEST(ScanEngineTest, IncompatibleQueryFailsWithTheEstimatorError) {
     EXPECT_EQ(result.status().code(), expected.code());
     EXPECT_EQ(result.status().message(), expected.message());
   }
+  // In a batch, one incompatible probe fails the whole call the same way;
+  // an invalid top_n is reported first, as NearestNeighbors does.
+  const PrivateSketch good =
+      stored.Sketch(DenseGaussianVector(d, 1.0, &rng), 3);
+  const auto batch = index.NearestNeighborsBatch({&good, &good, &query}, 3);
+  EXPECT_EQ(batch.status().code(), expected.code());
+  EXPECT_EQ(batch.status().message(), expected.message());
+  EXPECT_EQ(index.NearestNeighborsBatch({&good, &query}, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  const auto empty = index.NearestNeighborsBatch({}, 3);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
