@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 #include "src/linalg/kernels_x86.h"
 
@@ -132,44 +133,28 @@ void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
   }
 }
 
-}  // namespace internal
-
-namespace {
-
 void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
                                 int64_t width, double* out) {
-  internal::SquaredDistanceTileScalar(&q, 1, c, k, width, out);
+  SquaredDistanceTileScalar(&q, 1, c, k, width, out);
 }
 
-const KernelOps kScalarOps = {
+const KernelOps kScalarKernels = {
     "scalar",
-    internal::FwhtScalar,
-    internal::FwhtBlockScalar,
-    internal::GemvScalar,
-    internal::GemvBlockScalar,
-    internal::CsrApplyScalar,
-    internal::CsrApplyBlockScalar,
-    internal::SjltColumnBlockScalar,
-    internal::ScaleScalar,
-    internal::SquaredDistanceTileScalar,
+    FwhtScalar,
+    FwhtBlockScalar,
+    GemvScalar,
+    GemvBlockScalar,
+    CsrApplyScalar,
+    CsrApplyBlockScalar,
+    SjltColumnBlockScalar,
+    ScaleScalar,
+    SquaredDistanceTileScalar,
     SquaredDistanceBlockScalar,
 };
 
-bool CpuHasAvx2() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
+}  // namespace internal
 
-bool CpuHasAvx512() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
+namespace {
 
 /// True when `value` is a set environment flag other than "" or "0".
 bool EnvFlagSet(const char* name) {
@@ -179,38 +164,38 @@ bool EnvFlagSet(const char* name) {
 }
 
 const KernelOps* Detect() {
-  if (EnvFlagSet("DPJL_FORCE_SCALAR")) return &kScalarOps;
+  if (EnvFlagSet("DPJL_FORCE_SCALAR")) return &internal::kScalarKernels;
   if (const char* pick = std::getenv("DPJL_KERNELS")) {
     if (const KernelOps* table = KernelsByName(pick)) return table;
     // Unknown or unsupported name: fall through to auto-detection rather
     // than crash a process over an env typo; dpjl_tool kernels shows what
     // was actually selected.
   }
-#ifdef DPJL_HAVE_AVX512_KERNELS
-  if (CpuHasAvx512()) return &internal::Avx512Kernels();
-#endif
-#ifdef DPJL_HAVE_AVX2_KERNELS
-  if (CpuHasAvx2()) return &internal::Avx2Kernels();
-#endif
-  return &kScalarOps;
+  for (const char* widest_first : {"avx512", "avx2"}) {
+    if (const KernelOps* table = KernelsByName(widest_first)) return table;
+  }
+  return &internal::kScalarKernels;
 }
 
 std::atomic<const KernelOps*> g_test_override{nullptr};
 
 }  // namespace
 
-const KernelOps& ScalarKernels() { return kScalarOps; }
+const KernelOps& ScalarKernels() { return internal::kScalarKernels; }
 
 const KernelOps* KernelsByName(const char* name) {
   if (name == nullptr) return nullptr;
-  if (std::strcmp(name, "scalar") == 0) return &kScalarOps;
+  if (std::strcmp(name, "scalar") == 0) return &internal::kScalarKernels;
+  // The vector tables exist only in x86-64 builds, where the compiler
+  // provides the CPUID builtin.
 #ifdef DPJL_HAVE_AVX2_KERNELS
-  if (std::strcmp(name, "avx2") == 0 && CpuHasAvx2()) {
+  if (std::strcmp(name, "avx2") == 0 && __builtin_cpu_supports("avx2")) {
     return &internal::Avx2Kernels();
   }
 #endif
 #ifdef DPJL_HAVE_AVX512_KERNELS
-  if (std::strcmp(name, "avx512") == 0 && CpuHasAvx512()) {
+  if (std::strcmp(name, "avx512") == 0 &&
+      __builtin_cpu_supports("avx512f")) {
     return &internal::Avx512Kernels();
   }
 #endif

@@ -17,7 +17,9 @@ inline constexpr int64_t kScanTileProbes = 8;
 /// denormals. Output is therefore BIT-IDENTICAL across tables — the
 /// determinism contract BatchSketcher exposes publicly — and the scalar
 /// table is the executable specification the vector tables are tested
-/// against (tests/kernel_test.cc).
+/// against (tests/kernel_test.cc). avx2 and avx512 compile one lane-generic
+/// body per kernel (kernels_simd.h) at their native vector width; their
+/// block kernels run the scalar loop for any width other than 8.
 ///
 /// Layout convention for the *_block kernels: a "column block" packs
 /// `width` input vectors lane-interleaved, element j of lane t at

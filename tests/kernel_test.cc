@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -84,6 +85,13 @@ std::vector<double> TestVector(int64_t n, uint64_t salt) {
   return v;
 }
 
+/// Scalar arguments a vector table must broadcast exactly: plain factors,
+/// -0.0 (an add-based broadcast turns it into +0.0), a denormal and a
+/// negative non-power-of-two.
+const double kEdgeScalars[] = {0.125, 0.3187, -0.0,
+                               std::numeric_limits<double>::denorm_min() * 3,
+                               -3.5};
+
 // ---------------------------------------------------------------------------
 // Raw kernel-vs-scalar identity, per table, across blocked and tail sizes.
 
@@ -93,19 +101,41 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_EQ(KernelsByName("scalar"), &scalar);
   EXPECT_EQ(KernelsByName("no-such-table"), nullptr);
   EXPECT_EQ(KernelsByName(nullptr), nullptr);
-  // Whatever was dispatched must be a complete table.
-  const KernelOps& active = Kernels();
-  EXPECT_NE(active.name, nullptr);
-  EXPECT_NE(active.fwht, nullptr);
-  EXPECT_NE(active.fwht_block, nullptr);
-  EXPECT_NE(active.gemv, nullptr);
-  EXPECT_NE(active.gemv_block, nullptr);
-  EXPECT_NE(active.csr_apply, nullptr);
-  EXPECT_NE(active.csr_apply_block, nullptr);
-  EXPECT_NE(active.sjlt_column_block, nullptr);
-  EXPECT_NE(active.scale, nullptr);
-  EXPECT_NE(active.squared_distance_tile, nullptr);
-  EXPECT_NE(active.squared_distance_block, nullptr);
+  // Every table this build and CPU can run must be complete: a slot missing
+  // from an aggregate initializer is a null that crashes only when called.
+  bool dispatched_listed = false;
+  for (const char* key : {"scalar", "avx2", "avx512"}) {
+    const KernelOps* table = KernelsByName(key);
+    if (table == nullptr) continue;
+    dispatched_listed |= table == &Kernels();
+    EXPECT_STREQ(table->name, key);
+    EXPECT_NE(table->fwht, nullptr) << key;
+    EXPECT_NE(table->fwht_block, nullptr) << key;
+    EXPECT_NE(table->gemv, nullptr) << key;
+    EXPECT_NE(table->gemv_block, nullptr) << key;
+    EXPECT_NE(table->csr_apply, nullptr) << key;
+    EXPECT_NE(table->csr_apply_block, nullptr) << key;
+    EXPECT_NE(table->sjlt_column_block, nullptr) << key;
+    EXPECT_NE(table->scale, nullptr) << key;
+    EXPECT_NE(table->squared_distance_tile, nullptr) << key;
+    EXPECT_NE(table->squared_distance_block, nullptr) << key;
+  }
+  // The dispatched table is one of them.
+  EXPECT_TRUE(dispatched_listed) << Kernels().name;
+}
+
+TEST(KernelDispatchTest, EnvironmentPinsTheDispatchedTable) {
+  // The *_forced_scalar and *_avx2 ctest entries re-run this binary with
+  // DPJL_FORCE_SCALAR=1 or DPJL_KERNELS=avx2; dispatch must honour them.
+  const char* force = std::getenv("DPJL_FORCE_SCALAR");
+  const char* pick = std::getenv("DPJL_KERNELS");
+  if (force != nullptr && force[0] != '\0' && std::string(force) != "0") {
+    EXPECT_STREQ(Kernels().name, "scalar");
+  } else if (pick != nullptr && KernelsByName(pick) != nullptr) {
+    EXPECT_STREQ(Kernels().name, pick);
+  } else {
+    EXPECT_NE(Kernels().name, nullptr);  // auto-detected; nothing pinned
+  }
 }
 
 TEST(KernelDispatchTest, TestOverridePinsAndRestores) {
@@ -121,7 +151,8 @@ TEST(KernelBitExactnessTest, Fwht) {
   const KernelOps& scalar = ScalarKernels();
   for (const KernelOps* table : VectorTables()) {
     for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8},
-                      int64_t{16}, int64_t{64}, int64_t{512}}) {
+                      int64_t{16}, int64_t{32}, int64_t{64}, int64_t{512},
+                      int64_t{2048}}) {
       std::vector<double> expect = TestVector(n, 11 + static_cast<uint64_t>(n));
       std::vector<double> got = expect;
       scalar.fwht(expect.data(), n);
@@ -135,7 +166,8 @@ TEST(KernelBitExactnessTest, Fwht) {
 TEST(KernelBitExactnessTest, FwhtBlock) {
   const KernelOps& scalar = ScalarKernels();
   for (const KernelOps* table : VectorTables()) {
-    for (int64_t n : {int64_t{1}, int64_t{4}, int64_t{32}, int64_t{128}}) {
+    for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{16},
+                      int64_t{32}, int64_t{128}}) {
       for (int64_t width : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{4},
                             int64_t{5}, int64_t{7}, int64_t{8}, int64_t{9},
                             int64_t{16}}) {
@@ -248,33 +280,34 @@ TEST(KernelBitExactnessTest, CsrApplyAndBlock) {
   const int64_t rows = 23;
   const int64_t cols = 37;
   const TestCsr csr = MakeCsr(rows, cols, 59);
-  const double scale = 0.3187;
   for (const KernelOps* table : VectorTables()) {
-    {
-      const std::vector<double> w = TestVector(cols, 61);
+    for (const double scale : kEdgeScalars) {
+      const std::vector<double> w1 = TestVector(cols, 61);
       std::vector<double> expect(static_cast<size_t>(rows));
       std::vector<double> got(static_cast<size_t>(rows));
       scalar.csr_apply(csr.row_ptr.data(), csr.col_idx.data(),
-                       csr.values.data(), rows, w.data(), scale,
+                       csr.values.data(), rows, w1.data(), scale,
                        expect.data());
       table->csr_apply(csr.row_ptr.data(), csr.col_idx.data(),
-                       csr.values.data(), rows, w.data(), scale, got.data());
-      EXPECT_TRUE(BytesEqual(expect, got)) << table->name << " csr_apply";
-    }
-    for (int64_t width : {int64_t{1}, int64_t{3}, int64_t{5}, int64_t{8},
-                          int64_t{13}}) {
-      const std::vector<double> w =
-          TestVector(cols * width, 67 + static_cast<uint64_t>(width));
-      std::vector<double> expect(static_cast<size_t>(rows * width));
-      std::vector<double> got(static_cast<size_t>(rows * width));
-      scalar.csr_apply_block(csr.row_ptr.data(), csr.col_idx.data(),
-                             csr.values.data(), rows, w.data(), width, scale,
-                             expect.data());
-      table->csr_apply_block(csr.row_ptr.data(), csr.col_idx.data(),
-                             csr.values.data(), rows, w.data(), width, scale,
-                             got.data());
+                       csr.values.data(), rows, w1.data(), scale, got.data());
       EXPECT_TRUE(BytesEqual(expect, got))
-          << table->name << " csr_apply_block width=" << width;
+          << table->name << " csr_apply scale=" << scale;
+      for (int64_t width : {int64_t{1}, int64_t{3}, int64_t{5}, int64_t{8},
+                            int64_t{13}}) {
+        const std::vector<double> w =
+            TestVector(cols * width, 67 + static_cast<uint64_t>(width));
+        expect.assign(static_cast<size_t>(rows * width), 0.0);
+        got.assign(expect.size(), 0.0);
+        scalar.csr_apply_block(csr.row_ptr.data(), csr.col_idx.data(),
+                               csr.values.data(), rows, w.data(), width, scale,
+                               expect.data());
+        table->csr_apply_block(csr.row_ptr.data(), csr.col_idx.data(),
+                               csr.values.data(), rows, w.data(), width, scale,
+                               got.data());
+        EXPECT_TRUE(BytesEqual(expect, got))
+            << table->name << " csr_apply_block width=" << width
+            << " scale=" << scale;
+      }
     }
   }
 }
@@ -289,10 +322,14 @@ TEST(KernelBitExactnessTest, SjltColumnBlockPreservesZeroLanesBitwise) {
     for (int64_t width : {int64_t{1}, int64_t{3}, int64_t{4}, int64_t{5},
                           int64_t{8}, int64_t{9}}) {
       // Lanes mix nonzeros with +0.0 and -0.0; the accumulator is seeded
-      // with negative zeros so an unmasked `y += 0.0` would flip bits.
+      // with negative zeros so an unmasked `y += 0.0` would flip bits. NaN
+      // (which `x != 0.0` counts as live) and +/-inf lanes ride along.
       std::vector<double> x = TestVector(width, 71 + static_cast<uint64_t>(width));
       if (width > 1) x[1] = 0.0;
       x[0] = -0.0;
+      if (width > 2) x[2] = std::numeric_limits<double>::quiet_NaN();
+      if (width > 3) x[3] = std::numeric_limits<double>::infinity();
+      if (width > 4) x[4] = -std::numeric_limits<double>::infinity();
       std::vector<double> expect(static_cast<size_t>(out_rows * width), -0.0);
       std::vector<double> got = expect;
       scalar.sjlt_column_block(x.data(), width, 0.7071, rows, signs, s,
@@ -309,11 +346,15 @@ TEST(KernelBitExactnessTest, Scale) {
   const KernelOps& scalar = ScalarKernels();
   for (const KernelOps* table : VectorTables()) {
     for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, int64_t{100}}) {
-      std::vector<double> expect = TestVector(n, 73 + static_cast<uint64_t>(n));
-      std::vector<double> got = expect;
-      scalar.scale(expect.data(), n, 0.125);
-      table->scale(got.data(), n, 0.125);
-      EXPECT_TRUE(BytesEqual(expect, got)) << table->name << " scale n=" << n;
+      for (const double a : kEdgeScalars) {
+        std::vector<double> expect =
+            TestVector(n, 73 + static_cast<uint64_t>(n));
+        std::vector<double> got = expect;
+        scalar.scale(expect.data(), n, a);
+        table->scale(got.data(), n, a);
+        EXPECT_TRUE(BytesEqual(expect, got))
+            << table->name << " scale n=" << n << " a=" << a;
+      }
     }
   }
 }
