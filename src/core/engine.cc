@@ -27,31 +27,39 @@ Result<double> ParseDoubleFlag(const std::string& key, const std::string& raw) {
   return value;
 }
 
+namespace {
+
+/// The whole of `raw` as one decimal integer: std::from_chars takes no
+/// leading whitespace and no '+', and reports overflow, so anything but a
+/// complete in-range token is refused.
+template <typename T>
+bool ParseDecimal(const std::string& raw, T* value) {
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, error] = std::from_chars(raw.data(), end, *value);
+  return error == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 Result<int64_t> ParseIntFlag(const std::string& key, const std::string& raw,
                              int64_t min, int64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE ||
-      value < min || value > max) {
+  int64_t value = 0;
+  if (!ParseDecimal(raw, &value) || value < min || value > max) {
     return Status::InvalidArgument(
         "--" + key + " expects an integer in [" + std::to_string(min) + ", " +
         std::to_string(max) + "], got '" + raw + "'");
   }
-  return static_cast<int64_t>(value);
+  return value;
 }
 
 Result<uint64_t> ParseSeedFlag(const std::string& key, const std::string& raw) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(raw.c_str(), &end, 10);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE ||
-      raw.front() == '-') {
+  uint64_t value = 0;
+  if (!ParseDecimal(raw, &value)) {
     return Status::InvalidArgument("--" + key +
                                    " expects a non-negative integer, got '" +
                                    raw + "'");
   }
-  return static_cast<uint64_t>(value);
+  return value;
 }
 
 namespace {

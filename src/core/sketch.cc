@@ -1,29 +1,13 @@
 #include "src/core/sketch.h"
 
-#include <cstring>
-
+#include "src/common/bytes.h"
 #include "src/common/check.h"
 
 namespace dpjl {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'P', 'J', 'L', 'S', 'K', '0', '1'};
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::string& in, size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (*offset + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
+constexpr std::string_view kMagic = "DPJLSK01";
 
 }  // namespace
 
@@ -57,56 +41,51 @@ PrivateSketch::PrivateSketch(std::vector<double> values, SketchMetadata metadata
 }
 
 std::string PrivateSketch::Serialize() const {
-  std::string out;
-  out.reserve(sizeof(kMagic) + 96 + values_.size() * sizeof(double));
-  out.append(kMagic, sizeof(kMagic));
-  AppendPod(&out, static_cast<int32_t>(metadata_.transform));
-  AppendPod(&out, metadata_.input_dim);
-  AppendPod(&out, metadata_.output_dim);
-  AppendPod(&out, metadata_.sparsity);
-  AppendPod(&out, metadata_.projection_seed);
-  AppendPod(&out, static_cast<int32_t>(metadata_.placement));
-  AppendPod(&out, static_cast<int32_t>(metadata_.noise_kind));
-  AppendPod(&out, metadata_.noise_scale);
-  AppendPod(&out, metadata_.noise_center);
-  AppendPod(&out, metadata_.epsilon);
-  AppendPod(&out, metadata_.delta);
-  AppendPod(&out, static_cast<int64_t>(values_.size()));
-  for (double v : values_) AppendPod(&out, v);
-  return out;
+  ByteWriter out;
+  out.Reserve(kMagic.size() + 96 + values_.size() * sizeof(double));
+  out.Raw(kMagic);
+  out.Pod(static_cast<int32_t>(metadata_.transform));
+  out.Pod(metadata_.input_dim);
+  out.Pod(metadata_.output_dim);
+  out.Pod(metadata_.sparsity);
+  out.Pod(metadata_.projection_seed);
+  out.Pod(static_cast<int32_t>(metadata_.placement));
+  out.Pod(static_cast<int32_t>(metadata_.noise_kind));
+  out.Pod(metadata_.noise_scale);
+  out.Pod(metadata_.noise_center);
+  out.Pod(metadata_.epsilon);
+  out.Pod(metadata_.delta);
+  out.Pod(static_cast<int64_t>(values_.size()));
+  out.PodArray(values_.data(), values_.size());
+  return std::move(out).Take();
 }
 
 Result<PrivateSketch> PrivateSketch::Deserialize(const std::string& bytes) {
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  ByteReader in(bytes);
+  if (!in.Magic(kMagic)) {
     return Status::DataLoss("bad sketch magic/version");
   }
-  size_t offset = sizeof(kMagic);
   SketchMetadata meta;
   int32_t transform = 0;
   int32_t placement = 0;
   int32_t noise_kind = 0;
   int64_t count = 0;
-  const bool header_ok =
-      ReadPod(bytes, &offset, &transform) &&
-      ReadPod(bytes, &offset, &meta.input_dim) &&
-      ReadPod(bytes, &offset, &meta.output_dim) &&
-      ReadPod(bytes, &offset, &meta.sparsity) &&
-      ReadPod(bytes, &offset, &meta.projection_seed) &&
-      ReadPod(bytes, &offset, &placement) &&
-      ReadPod(bytes, &offset, &noise_kind) &&
-      ReadPod(bytes, &offset, &meta.noise_scale) &&
-      ReadPod(bytes, &offset, &meta.noise_center) &&
-      ReadPod(bytes, &offset, &meta.epsilon) &&
-      ReadPod(bytes, &offset, &meta.delta) && ReadPod(bytes, &offset, &count);
-  if (!header_ok) {
+  in.Pod(&transform);
+  in.Pod(&meta.input_dim);
+  in.Pod(&meta.output_dim);
+  in.Pod(&meta.sparsity);
+  in.Pod(&meta.projection_seed);
+  in.Pod(&placement);
+  in.Pod(&noise_kind);
+  in.Pod(&meta.noise_scale);
+  in.Pod(&meta.noise_center);
+  in.Pod(&meta.epsilon);
+  in.Pod(&meta.delta);
+  if (!in.Pod(&count)) {
     return Status::DataLoss("truncated sketch header");
   }
   if (count < 0 || count != meta.output_dim) {
     return Status::DataLoss("sketch value count does not match metadata");
-  }
-  if (offset + static_cast<size_t>(count) * sizeof(double) != bytes.size()) {
-    return Status::DataLoss("sketch payload size mismatch");
   }
   // The enum fields come from files and peers: a value outside the declared
   // enumerators is corruption, never a kind this build can interpret.
@@ -123,12 +102,11 @@ Result<PrivateSketch> PrivateSketch::Deserialize(const std::string& bytes) {
   meta.transform = static_cast<TransformKind>(transform);
   meta.placement = static_cast<NoisePlacement>(placement);
   meta.noise_kind = static_cast<NoiseDistribution::Kind>(noise_kind);
-  std::vector<double> values(static_cast<size_t>(count));
-  for (double& v : values) {
-    if (!ReadPod(bytes, &offset, &v)) {
-      return Status::DataLoss("truncated sketch payload");
-    }
-  }
+  // The reader checks `count` against the bytes present before allocating,
+  // so a forged count fails here instead of asking for 2^61 doubles.
+  std::vector<double> values;
+  in.PodArray(static_cast<uint64_t>(count), &values);
+  DPJL_RETURN_IF_ERROR(in.Finish("sketch payload"));
   return PrivateSketch(std::move(values), meta);
 }
 

@@ -1,8 +1,8 @@
 #include "src/core/sketch_index.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "src/common/bytes.h"
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
 #include "src/jl/transform.h"
@@ -20,23 +20,6 @@ constexpr int64_t kScanGrainBlocks = 16;
 using TopK = BoundedTopK<SketchIndex::Neighbor,
                          bool (*)(const SketchIndex::Neighbor&,
                                   const SketchIndex::Neighbor&)>;
-
-void AppendU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadU64(const std::string& in, size_t* offset, uint64_t* v) {
-  if (in.size() - *offset < sizeof(*v)) return false;
-  std::memcpy(v, in.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return true;
-}
-
-/// True iff `len` more bytes fit; written to be immune to the
-/// offset + len overflow a crafted huge length field would cause.
-bool Fits(const std::string& in, size_t offset, uint64_t len) {
-  return len <= in.size() - offset;
-}
 
 }  // namespace
 
@@ -429,17 +412,13 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
 }
 
 std::string SketchIndex::SerializeRange(size_t begin, size_t end) const {
-  std::string out;
-  AppendU64(&out, static_cast<uint64_t>(end - begin));
+  ByteWriter out;
+  out.Pod(static_cast<uint64_t>(end - begin));
   for (size_t i = begin; i < end; ++i) {
-    const std::string& id = ids_[i];
-    const std::string blob = SketchAt(i).Serialize();
-    AppendU64(&out, id.size());
-    out.append(id);
-    AppendU64(&out, blob.size());
-    out.append(blob);
+    out.String(ids_[i]);
+    out.String(SketchAt(i).Serialize());
   }
-  return out;
+  return std::move(out).Take();
 }
 
 std::string SketchIndex::Serialize() const {
@@ -457,37 +436,20 @@ Result<SketchIndex> SketchIndex::Deserialize(const std::string& bytes) {
 }
 
 Result<SketchIndex> SketchIndex::DecodeRecords(const std::string& bytes) {
-  size_t offset = 0;
+  ByteReader in(bytes);
   uint64_t count = 0;
-  if (!ReadU64(bytes, &offset, &count)) {
-    return Status::DataLoss("truncated index header");
-  }
-  // Each record needs at least its two length fields; anything claiming
-  // more records than could fit is corrupt, not worth looping over.
-  if (count > (bytes.size() - offset) / (2 * sizeof(uint64_t))) {
-    return Status::DataLoss("index record count exceeds payload size");
-  }
+  // Each record needs at least its two length fields.
+  in.Count(&count, 2 * sizeof(uint64_t));
   SketchIndex index;
+  std::string id;
+  std::string blob;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id_len = 0;
-    if (!ReadU64(bytes, &offset, &id_len) || !Fits(bytes, offset, id_len)) {
-      return Status::DataLoss("truncated index id");
-    }
-    std::string id = bytes.substr(offset, id_len);
-    offset += id_len;
-    uint64_t blob_len = 0;
-    if (!ReadU64(bytes, &offset, &blob_len) ||
-        !Fits(bytes, offset, blob_len)) {
-      return Status::DataLoss("truncated index sketch blob");
-    }
-    DPJL_ASSIGN_OR_RETURN(PrivateSketch sketch, PrivateSketch::Deserialize(
-                                                    bytes.substr(offset, blob_len)));
-    offset += blob_len;
+    in.String(&id);
+    if (!in.String(&blob)) break;
+    DPJL_ASSIGN_OR_RETURN(PrivateSketch sketch, PrivateSketch::Deserialize(blob));
     DPJL_RETURN_IF_ERROR(index.Add(std::move(id), sketch));
   }
-  if (offset != bytes.size()) {
-    return Status::DataLoss("trailing bytes after index payload");
-  }
+  DPJL_RETURN_IF_ERROR(in.Finish("index payload"));
   return index;
 }
 

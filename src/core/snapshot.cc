@@ -1,6 +1,6 @@
 #include "src/core/snapshot.h"
 
-#include <cstring>
+#include "src/common/bytes.h"
 
 namespace dpjl {
 
@@ -8,84 +8,48 @@ namespace {
 
 /// Byte 4 differs from the legacy index magic "DPJLIX01", so a v0 blob can
 /// never be mistaken for an envelope (or vice versa) after reading 8 bytes.
-constexpr char kSnapshotMagic[8] = {'D', 'P', 'J', 'L', 'S', 'N', 'A', 'P'};
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::string& in, size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (in.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, in.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-/// True iff `len` more bytes fit; immune to offset + len overflow from a
-/// crafted huge length field.
-bool Fits(const std::string& in, size_t offset, uint64_t len) {
-  return len <= in.size() - offset;
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendPod(out, static_cast<uint64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadString(const std::string& in, size_t* offset, std::string* s) {
-  uint64_t len = 0;
-  if (!ReadPod(in, offset, &len) || !Fits(in, *offset, len)) return false;
-  s->assign(in, *offset, len);
-  *offset += len;
-  return true;
-}
+constexpr std::string_view kSnapshotMagic = "DPJLSNAP";
 
 }  // namespace
 
-uint64_t SnapshotChecksum(std::string_view bytes) {
+uint64_t SnapshotChecksum(std::string_view bytes, uint64_t state) {
   // FNV-1a 64: simple, fast, and with a fixed published basis/prime so the
   // on-disk format is reproducible from the spec alone.
-  uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ULL;
+    state ^= static_cast<uint8_t>(c);
+    state *= 0x100000001b3ULL;
   }
-  return hash;
+  return state;
 }
 
 std::string EncodeSnapshot(SnapshotKind kind, std::string payload) {
-  std::string out;
-  out.reserve(sizeof(kSnapshotMagic) + 24 + payload.size());
-  out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendPod(&out, kSnapshotVersion);
-  AppendPod(&out, static_cast<uint32_t>(kind));
-  AppendPod(&out, static_cast<uint64_t>(payload.size()));
-  AppendPod(&out, SnapshotChecksum(payload));
-  out.append(payload);
-  return out;
+  ByteWriter out;
+  out.Reserve(kSnapshotMagic.size() + 24 + payload.size());
+  out.Raw(kSnapshotMagic);
+  out.Pod(kSnapshotVersion);
+  out.Pod(static_cast<uint32_t>(kind));
+  out.Pod(static_cast<uint64_t>(payload.size()));
+  out.Pod(SnapshotChecksum(payload));
+  out.Raw(payload);
+  return std::move(out).Take();
 }
 
 bool HasSnapshotMagic(const std::string& bytes) {
-  return bytes.size() >= sizeof(kSnapshotMagic) &&
-         std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) == 0;
+  return ByteReader(bytes).Magic(kSnapshotMagic);
 }
 
 Result<SnapshotEnvelope> DecodeSnapshot(const std::string& bytes) {
-  if (!HasSnapshotMagic(bytes)) {
+  ByteReader in(bytes);
+  if (!in.Magic(kSnapshotMagic)) {
     return Status::DataLoss("bad snapshot magic (not a dpjl snapshot file)");
   }
-  size_t offset = sizeof(kSnapshotMagic);
   SnapshotEnvelope envelope;
   uint32_t kind = 0;
   uint64_t payload_size = 0;
-  if (!ReadPod(bytes, &offset, &envelope.version) ||
-      !ReadPod(bytes, &offset, &kind) ||
-      !ReadPod(bytes, &offset, &payload_size) ||
-      !ReadPod(bytes, &offset, &envelope.checksum)) {
+  in.Pod(&envelope.version);
+  in.Pod(&kind);
+  in.Pod(&payload_size);
+  if (!in.Pod(&envelope.checksum)) {
     return Status::DataLoss("truncated snapshot header");
   }
   if (envelope.version != kSnapshotVersion) {
@@ -100,17 +64,19 @@ Result<SnapshotEnvelope> DecodeSnapshot(const std::string& bytes) {
                             std::to_string(kind));
   }
   envelope.kind = static_cast<SnapshotKind>(kind);
-  if (bytes.size() - offset != payload_size) {
+  if (in.remaining() != payload_size) {
     return Status::DataLoss(
         "snapshot payload size mismatch: header declares " +
         std::to_string(payload_size) + " bytes, file carries " +
-        std::to_string(bytes.size() - offset));
+        std::to_string(in.remaining()));
   }
-  envelope.payload.assign(bytes, offset, payload_size);
-  if (SnapshotChecksum(envelope.payload) != envelope.checksum) {
+  std::string_view payload;
+  in.Raw(payload_size, &payload);
+  if (SnapshotChecksum(payload) != envelope.checksum) {
     return Status::DataLoss(
         "snapshot payload checksum mismatch (corrupted or tampered file)");
   }
+  envelope.payload.assign(payload);
   return envelope;
 }
 
@@ -119,31 +85,30 @@ uint64_t CompatibilityFingerprint(const SketchMetadata& metadata) {
   // the same FNV-1a the envelope uses. Fold the transform enum through its
   // stable int value so enum reordering can never change fingerprints
   // silently — the serialized enum values are already frozen on disk.
-  std::string key;
-  key.reserve(5 * sizeof(uint64_t));
-  AppendPod(&key, static_cast<int64_t>(metadata.transform));
-  AppendPod(&key, metadata.input_dim);
-  AppendPod(&key, metadata.output_dim);
-  AppendPod(&key, metadata.sparsity);
-  AppendPod(&key, metadata.projection_seed);
-  const uint64_t fingerprint = SnapshotChecksum(key);
+  ByteWriter key;
+  key.Pod(static_cast<int64_t>(metadata.transform));
+  key.Pod(metadata.input_dim);
+  key.Pod(metadata.output_dim);
+  key.Pod(metadata.sparsity);
+  key.Pod(metadata.projection_seed);
+  const uint64_t fingerprint = SnapshotChecksum(key.view());
   // Zero means "no constraint"; remap the (astronomically unlikely) real
   // collision onto a fixed non-zero value.
   return fingerprint == 0 ? 1 : fingerprint;
 }
 
 std::string ShardManifest::Serialize() const {
-  std::string payload;
-  AppendPod(&payload, total_count);
-  AppendPod(&payload, fingerprint);
-  AppendPod(&payload, static_cast<uint64_t>(partitions.size()));
+  ByteWriter payload;
+  payload.Pod(total_count);
+  payload.Pod(fingerprint);
+  payload.Pod(static_cast<uint64_t>(partitions.size()));
   for (const Partition& partition : partitions) {
-    AppendPod(&payload, partition.count);
-    AppendString(&payload, partition.first_id);
-    AppendString(&payload, partition.last_id);
-    AppendPod(&payload, partition.checksum);
+    payload.Pod(partition.count);
+    payload.String(partition.first_id);
+    payload.String(partition.last_id);
+    payload.Pod(partition.checksum);
   }
-  return EncodeSnapshot(SnapshotKind::kManifest, std::move(payload));
+  return EncodeSnapshot(SnapshotKind::kManifest, std::move(payload).Take());
 }
 
 Result<ShardManifest> ShardManifest::Deserialize(const std::string& bytes) {
@@ -152,31 +117,21 @@ Result<ShardManifest> ShardManifest::Deserialize(const std::string& bytes) {
     return Status::DataLoss(
         "snapshot is not a shard manifest (payload kind mismatch)");
   }
-  const std::string& payload = envelope.payload;
-  size_t offset = 0;
+  ByteReader in(envelope.payload);
   ShardManifest manifest;
   uint64_t partition_count = 0;
-  if (!ReadPod(payload, &offset, &manifest.total_count) ||
-      !ReadPod(payload, &offset, &manifest.fingerprint) ||
-      !ReadPod(payload, &offset, &partition_count)) {
-    return Status::DataLoss("truncated shard manifest header");
-  }
-  // Each partition record needs at least its fixed-width fields; a count
-  // claiming more than could fit is corrupt, not worth looping over.
-  constexpr uint64_t kMinPartitionBytes = 4 * sizeof(uint64_t);
-  if (partition_count > (payload.size() - offset) / kMinPartitionBytes) {
-    return Status::DataLoss("shard manifest partition count exceeds payload");
-  }
+  in.Pod(&manifest.total_count);
+  in.Pod(&manifest.fingerprint);
+  // A partition record is at least its count, two id lengths and checksum.
+  in.Count(&partition_count, 4 * sizeof(uint64_t));
   int64_t recomputed_total = 0;
   manifest.partitions.reserve(partition_count);
   for (uint64_t i = 0; i < partition_count; ++i) {
     Partition partition;
-    if (!ReadPod(payload, &offset, &partition.count) ||
-        !ReadString(payload, &offset, &partition.first_id) ||
-        !ReadString(payload, &offset, &partition.last_id) ||
-        !ReadPod(payload, &offset, &partition.checksum)) {
-      return Status::DataLoss("truncated shard manifest partition record");
-    }
+    in.Pod(&partition.count);
+    in.String(&partition.first_id);
+    in.String(&partition.last_id);
+    if (!in.Pod(&partition.checksum)) break;
     if (partition.count < 0) {
       return Status::DataLoss("negative partition count in shard manifest");
     }
@@ -188,9 +143,7 @@ Result<ShardManifest> ShardManifest::Deserialize(const std::string& bytes) {
     }
     manifest.partitions.push_back(std::move(partition));
   }
-  if (offset != payload.size()) {
-    return Status::DataLoss("trailing bytes after shard manifest payload");
-  }
+  DPJL_RETURN_IF_ERROR(in.Finish("shard manifest payload"));
   if (recomputed_total != manifest.total_count) {
     return Status::DataLoss(
         "shard manifest total count disagrees with its partition counts");

@@ -43,11 +43,18 @@ enum class SnapshotKind : uint32_t {
 /// Current writer version of the snapshot envelope.
 inline constexpr uint32_t kSnapshotVersion = 1;
 
-/// 64-bit FNV-1a over `bytes` — the envelope's payload checksum. Not
-/// cryptographic: it detects corruption (truncation, bit rot, bad
-/// concatenation), not adversarial tampering; the artifacts are public
-/// releases, so integrity here is an operational concern only.
-uint64_t SnapshotChecksum(std::string_view bytes);
+/// FNV-1a 64 offset basis: the state SnapshotChecksum starts from.
+inline constexpr uint64_t kSnapshotChecksumBasis = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a over `bytes` — the envelope's payload checksum and the
+/// only FNV-1a in dpjl. Passing a previous result as `state` continues
+/// that stream, so a checksum over several spans needs no concatenation
+/// (the wire frame's header span + tenant + payload). Not cryptographic:
+/// it detects corruption (truncation, bit rot, bad concatenation), not
+/// adversarial tampering; the artifacts are public releases, so integrity
+/// here is an operational concern only.
+uint64_t SnapshotChecksum(std::string_view bytes,
+                          uint64_t state = kSnapshotChecksumBasis);
 
 /// A decoded envelope: the payload plus the header fields a caller may
 /// want to surface (dpjl_tool's inspect subcommand).

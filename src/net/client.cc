@@ -8,10 +8,11 @@ namespace net {
 Client::Client(std::string host, int port, ClientOptions options)
     : host_(std::move(host)), port_(port), options_(options) {}
 
-Result<Socket> Client::BorrowConnection() {
+Result<Socket> Client::BorrowConnection(bool* pooled) {
   {
     MutexLock lock(mutex_);
-    if (!pool_.empty()) {
+    *pooled = !pool_.empty();
+    if (*pooled) {
       Socket connection = std::move(pool_.back());
       pool_.pop_back();
       return connection;
@@ -57,12 +58,8 @@ Result<Frame> Client::Call(MessageType type, std::string payload,
   // spurious kUnavailable. A fresh connection gets no retry — its failure
   // is the real signal replica failover keys on.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    bool reused;
-    {
-      MutexLock lock(mutex_);
-      reused = !pool_.empty();
-    }
-    DPJL_ASSIGN_OR_RETURN(Socket connection, BorrowConnection());
+    bool reused = false;
+    DPJL_ASSIGN_OR_RETURN(Socket connection, BorrowConnection(&reused));
     Result<Frame> response = exchange(connection);
     if (!response.ok()) {
       // Discard: after any failure the stream position is unknowable.

@@ -96,7 +96,9 @@ class Client {
                      const RequestOptions& request,
                      MessageType expected_response);
 
-  Result<Socket> BorrowConnection();
+  /// A pooled connection when one is idle, else a fresh one; `*pooled`
+  /// says which, decided under the same lock that took it from the pool.
+  Result<Socket> BorrowConnection(bool* pooled);
   void ReturnConnection(Socket connection);
 
   const std::string host_;

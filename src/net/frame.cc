@@ -1,9 +1,8 @@
 #include "src/net/frame.h"
 
-#include <cstring>
-#include <type_traits>
 #include <utility>
 
+#include "src/common/bytes.h"
 #include "src/core/snapshot.h"
 #include "src/net/socket.h"
 
@@ -14,63 +13,61 @@ namespace {
 
 /// Differs from both snapshot magics after 4 bytes, so a frame can never be
 /// mistaken for an on-disk artifact (or vice versa).
-constexpr char kWireMagic[8] = {'D', 'P', 'J', 'L', 'W', 'I', 'R', 'E'};
+constexpr std::string_view kWireMagic = "DPJLWIRE";
 
-/// Offset of the checksum field; the checksum covers [8, 40) of the fixed
-/// header (everything between the magic and the checksum itself) plus the
-/// tenant and payload bytes.
-constexpr size_t kChecksumOffset = 40;
+/// The checksum covers header bytes [8, 40) — every field between the magic
+/// and the checksum itself — plus the tenant and payload bytes.
+constexpr size_t kCoveredHeaderBytes = 32;
 
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
+/// Every field of the fixed header, as read from its 48 bytes.
+struct FixedHeader {
+  uint32_t version = 0;
+  uint32_t type = 0;
+  uint32_t priority = 0;
+  FrameSizes sizes;
+  int64_t deadline_ms = 0;
+  uint64_t checksum = 0;
+};
 
-template <typename T>
-bool ReadPod(const std::string& in, size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (in.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, in.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-template <typename T>
-bool ReadPodView(std::string_view in, size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (in.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, in.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-/// True iff `len` more bytes fit; immune to offset + len overflow from a
-/// crafted huge length field.
-bool Fits(const std::string& in, size_t offset, uint64_t len) {
-  return len <= in.size() - offset;
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendPod(out, static_cast<uint64_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadString(const std::string& in, size_t* offset, std::string* s) {
-  uint64_t len = 0;
-  if (!ReadPod(in, offset, &len) || !Fits(in, *offset, len)) return false;
-  s->assign(in, *offset, len);
-  *offset += len;
-  return true;
-}
-
-Status Truncated(const char* what) {
-  return Status::DataLoss(std::string("truncated ") + what + " payload");
-}
-
-Status Trailing(const char* what) {
-  return Status::DataLoss(std::string("trailing bytes after ") + what +
-                          " payload");
+/// Stage 1 of every frame decode: magic, version and the sanity caps over
+/// exactly kFrameHeaderBytes bytes.
+Result<FixedHeader> DecodeFixedHeader(std::string_view bytes) {
+  if (bytes.size() != kFrameHeaderBytes) {
+    return Status::DataLoss("wire frame header must be exactly " +
+                            std::to_string(kFrameHeaderBytes) + " bytes, got " +
+                            std::to_string(bytes.size()));
+  }
+  ByteReader in(bytes);
+  if (!in.Magic(kWireMagic)) {
+    return Status::DataLoss("bad wire magic (not a dpjl wire frame)");
+  }
+  FixedHeader header;
+  in.Pod(&header.version);
+  in.Pod(&header.type);
+  in.Pod(&header.priority);
+  in.Pod(&header.sizes.tenant_size);
+  in.Pod(&header.deadline_ms);
+  in.Pod(&header.sizes.payload_size);
+  in.Pod(&header.checksum);  // exactly the 48 bytes checked above
+  if (header.version != kWireVersion) {
+    return Status::DataLoss("unsupported wire frame version " +
+                            std::to_string(header.version) +
+                            " (this peer speaks version " +
+                            std::to_string(kWireVersion) + ")");
+  }
+  if (header.sizes.tenant_size > kMaxFrameTenantBytes) {
+    return Status::DataLoss("wire frame tenant length " +
+                            std::to_string(header.sizes.tenant_size) +
+                            " exceeds the cap of " +
+                            std::to_string(kMaxFrameTenantBytes));
+  }
+  if (header.sizes.payload_size > kMaxFramePayloadBytes) {
+    return Status::DataLoss("wire frame payload length " +
+                            std::to_string(header.sizes.payload_size) +
+                            " exceeds the cap of " +
+                            std::to_string(kMaxFramePayloadBytes));
+  }
+  return header;
 }
 
 }  // namespace
@@ -139,346 +136,259 @@ Result<MessageType> MessageTypeFromInt(uint32_t value) {
 }
 
 std::string EncodeFrame(const FrameHeader& header, std::string payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + header.tenant.size() + payload.size());
-  out.append(kWireMagic, sizeof(kWireMagic));
-  AppendPod(&out, kWireVersion);
-  AppendPod(&out, static_cast<uint32_t>(header.type));
-  AppendPod(&out, static_cast<uint32_t>(header.priority));
-  AppendPod(&out, static_cast<uint32_t>(header.tenant.size()));
-  AppendPod(&out, header.deadline_ms);
-  AppendPod(&out, static_cast<uint64_t>(payload.size()));
+  ByteWriter out;
+  out.Reserve(kFrameHeaderBytes + header.tenant.size() + payload.size());
+  out.Raw(kWireMagic);
+  out.Pod(kWireVersion);
+  out.Pod(static_cast<uint32_t>(header.type));
+  out.Pod(static_cast<uint32_t>(header.priority));
+  out.Pod(static_cast<uint32_t>(header.tenant.size()));
+  out.Pod(header.deadline_ms);
+  out.Pod(static_cast<uint64_t>(payload.size()));
   // Checksum everything after the magic: the covered header span, then the
-  // tenant and payload. Appended last in the header but computed over
-  // bytes [8, 40) first, so decoders can verify before trusting any field.
-  uint64_t checksum = SnapshotChecksum(
-      std::string_view(out.data() + sizeof(kWireMagic),
-                       kChecksumOffset - sizeof(kWireMagic)));
-  // Continue the same FNV-1a stream over tenant + payload.
-  const auto extend = [&checksum](std::string_view bytes) {
-    for (const char c : bytes) {
-      checksum ^= static_cast<uint8_t>(c);
-      checksum *= 0x100000001b3ULL;
-    }
-  };
-  extend(header.tenant);
-  extend(payload);
-  AppendPod(&out, checksum);
-  out.append(header.tenant);
-  out.append(payload);
-  return out;
+  // tenant and payload as one continued FNV-1a stream. Appended last in the
+  // header but computed over bytes [8, 40) first, so decoders can verify
+  // before trusting any field.
+  uint64_t checksum = SnapshotChecksum(out.view().substr(kWireMagic.size()));
+  checksum = SnapshotChecksum(header.tenant, checksum);
+  checksum = SnapshotChecksum(payload, checksum);
+  out.Pod(checksum);
+  out.Raw(header.tenant);
+  out.Raw(payload);
+  return std::move(out).Take();
 }
 
 Result<FrameSizes> DecodeFrameSizes(std::string_view fixed_header) {
-  if (fixed_header.size() != kFrameHeaderBytes) {
-    return Status::DataLoss("wire frame header must be exactly " +
-                            std::to_string(kFrameHeaderBytes) + " bytes, got " +
-                            std::to_string(fixed_header.size()));
-  }
-  if (std::memcmp(fixed_header.data(), kWireMagic, sizeof(kWireMagic)) != 0) {
-    return Status::DataLoss("bad wire magic (not a dpjl wire frame)");
-  }
-  size_t offset = sizeof(kWireMagic);
-  uint32_t version = 0;
-  uint32_t type = 0;
-  uint32_t priority = 0;
-  FrameSizes sizes;
-  int64_t deadline_ms = 0;
-  if (!ReadPodView(fixed_header, &offset, &version) ||
-      !ReadPodView(fixed_header, &offset, &type) ||
-      !ReadPodView(fixed_header, &offset, &priority) ||
-      !ReadPodView(fixed_header, &offset, &sizes.tenant_size) ||
-      !ReadPodView(fixed_header, &offset, &deadline_ms) ||
-      !ReadPodView(fixed_header, &offset, &sizes.payload_size)) {
-    return Status::DataLoss("truncated wire frame header");
-  }
-  if (version != kWireVersion) {
-    return Status::DataLoss("unsupported wire frame version " +
-                            std::to_string(version) +
-                            " (this peer speaks version " +
-                            std::to_string(kWireVersion) + ")");
-  }
-  if (sizes.tenant_size > kMaxFrameTenantBytes) {
-    return Status::DataLoss("wire frame tenant length " +
-                            std::to_string(sizes.tenant_size) +
-                            " exceeds the cap of " +
-                            std::to_string(kMaxFrameTenantBytes));
-  }
-  if (sizes.payload_size > kMaxFramePayloadBytes) {
-    return Status::DataLoss("wire frame payload length " +
-                            std::to_string(sizes.payload_size) +
-                            " exceeds the cap of " +
-                            std::to_string(kMaxFramePayloadBytes));
-  }
-  return sizes;
+  DPJL_ASSIGN_OR_RETURN(const FixedHeader header,
+                        DecodeFixedHeader(fixed_header));
+  return header.sizes;
 }
 
 Result<Frame> DecodeFrame(const std::string& bytes) {
   if (bytes.size() < kFrameHeaderBytes) {
     return Status::DataLoss("wire frame shorter than its fixed header");
   }
-  DPJL_ASSIGN_OR_RETURN(
-      const FrameSizes sizes,
-      DecodeFrameSizes(std::string_view(bytes.data(), kFrameHeaderBytes)));
+  const std::string_view view(bytes);
+  DPJL_ASSIGN_OR_RETURN(const FixedHeader header,
+                        DecodeFixedHeader(view.substr(0, kFrameHeaderBytes)));
+  ByteReader body(view.substr(kFrameHeaderBytes));
   const uint64_t body_size =
-      static_cast<uint64_t>(sizes.tenant_size) + sizes.payload_size;
-  if (bytes.size() - kFrameHeaderBytes != body_size) {
+      static_cast<uint64_t>(header.sizes.tenant_size) +
+      header.sizes.payload_size;
+  if (body.remaining() != body_size) {
     return Status::DataLoss(
         "wire frame length mismatch: header declares " +
         std::to_string(body_size) + " body bytes, buffer carries " +
-        std::to_string(bytes.size() - kFrameHeaderBytes));
+        std::to_string(body.remaining()));
   }
   // Verify the checksum before interpreting any remaining field: the
   // covered span is header bytes [8, 40) plus the whole body, so any
   // single flipped byte outside the magic fails here (or at the
   // version/size gates above — either way, a clean kDataLoss).
-  uint64_t declared_checksum = 0;
-  size_t checksum_offset = kChecksumOffset;
-  ReadPod(bytes, &checksum_offset, &declared_checksum);
-  uint64_t checksum = SnapshotChecksum(std::string_view(
-      bytes.data() + sizeof(kWireMagic), kChecksumOffset - sizeof(kWireMagic)));
-  for (size_t i = kFrameHeaderBytes; i < bytes.size(); ++i) {
-    checksum ^= static_cast<uint8_t>(bytes[i]);
-    checksum *= 0x100000001b3ULL;
-  }
-  if (checksum != declared_checksum) {
+  uint64_t checksum =
+      SnapshotChecksum(view.substr(kWireMagic.size(), kCoveredHeaderBytes));
+  checksum = SnapshotChecksum(view.substr(kFrameHeaderBytes), checksum);
+  if (checksum != header.checksum) {
     return Status::DataLoss(
         "wire frame checksum mismatch (corrupted in transit)");
   }
-  size_t offset = sizeof(kWireMagic) + sizeof(uint32_t);  // skip version
-  uint32_t type = 0;
-  uint32_t priority = 0;
-  ReadPod(bytes, &offset, &type);
-  ReadPod(bytes, &offset, &priority);
   Frame frame;
-  DPJL_ASSIGN_OR_RETURN(frame.header.type, MessageTypeFromInt(type));
-  if (priority >= static_cast<uint32_t>(kNumPriorityLanes)) {
+  DPJL_ASSIGN_OR_RETURN(frame.header.type, MessageTypeFromInt(header.type));
+  if (header.priority >= static_cast<uint32_t>(kNumPriorityLanes)) {
     return Status::DataLoss("wire frame priority lane " +
-                            std::to_string(priority) + " is out of range");
+                            std::to_string(header.priority) +
+                            " is out of range");
   }
-  frame.header.priority = static_cast<Priority>(priority);
-  offset += sizeof(uint32_t);  // tenant size, already decoded
-  ReadPod(bytes, &offset, &frame.header.deadline_ms);
-  frame.header.tenant.assign(bytes, kFrameHeaderBytes, sizes.tenant_size);
-  frame.payload.assign(bytes, kFrameHeaderBytes + sizes.tenant_size,
-                       sizes.payload_size);
+  frame.header.priority = static_cast<Priority>(header.priority);
+  frame.header.deadline_ms = header.deadline_ms;
+  std::string_view tenant;
+  std::string_view payload;
+  body.Raw(header.sizes.tenant_size, &tenant);
+  body.Raw(header.sizes.payload_size, &payload);
+  frame.header.tenant.assign(tenant);
+  frame.payload.assign(payload);
   return frame;
 }
 
 std::string EncodeNearestNeighborsRequest(const NearestNeighborsRequest& req) {
-  std::string out;
-  AppendPod(&out, req.top_n);
-  AppendString(&out, req.sketch);
-  return out;
+  ByteWriter out;
+  out.Pod(req.top_n);
+  out.String(req.sketch);
+  return std::move(out).Take();
 }
 
 Result<NearestNeighborsRequest> DecodeNearestNeighborsRequest(
     const std::string& payload) {
   NearestNeighborsRequest req;
-  size_t offset = 0;
-  if (!ReadPod(payload, &offset, &req.top_n) ||
-      !ReadString(payload, &offset, &req.sketch)) {
-    return Truncated("nearest-neighbors request");
-  }
-  if (offset != payload.size()) return Trailing("nearest-neighbors request");
+  ByteReader in(payload);
+  in.Pod(&req.top_n);
+  in.String(&req.sketch);
+  DPJL_RETURN_IF_ERROR(in.Finish("nearest-neighbors request payload"));
   return req;
 }
 
 std::string EncodeRangeQueryRequest(const RangeQueryRequest& req) {
-  std::string out;
-  AppendPod(&out, req.radius_sq);
-  AppendString(&out, req.sketch);
-  return out;
+  ByteWriter out;
+  out.Pod(req.radius_sq);
+  out.String(req.sketch);
+  return std::move(out).Take();
 }
 
 Result<RangeQueryRequest> DecodeRangeQueryRequest(const std::string& payload) {
   RangeQueryRequest req;
-  size_t offset = 0;
-  if (!ReadPod(payload, &offset, &req.radius_sq) ||
-      !ReadString(payload, &offset, &req.sketch)) {
-    return Truncated("range-query request");
-  }
-  if (offset != payload.size()) return Trailing("range-query request");
+  ByteReader in(payload);
+  in.Pod(&req.radius_sq);
+  in.String(&req.sketch);
+  DPJL_RETURN_IF_ERROR(in.Finish("range-query request payload"));
   return req;
 }
 
 std::string EncodeSquaredDistanceRequest(const SquaredDistanceRequest& req) {
-  std::string out;
-  AppendString(&out, req.id_a);
-  AppendString(&out, req.id_b);
-  return out;
+  ByteWriter out;
+  out.String(req.id_a);
+  out.String(req.id_b);
+  return std::move(out).Take();
 }
 
 Result<SquaredDistanceRequest> DecodeSquaredDistanceRequest(
     const std::string& payload) {
   SquaredDistanceRequest req;
-  size_t offset = 0;
-  if (!ReadString(payload, &offset, &req.id_a) ||
-      !ReadString(payload, &offset, &req.id_b)) {
-    return Truncated("squared-distance request");
-  }
-  if (offset != payload.size()) return Trailing("squared-distance request");
+  ByteReader in(payload);
+  in.String(&req.id_a);
+  in.String(&req.id_b);
+  DPJL_RETURN_IF_ERROR(in.Finish("squared-distance request payload"));
   return req;
 }
 
 std::string EncodeBatchQueryRequest(const BatchQueryRequest& req) {
-  std::string out;
-  AppendPod(&out, req.top_n);
-  AppendPod(&out, static_cast<uint64_t>(req.sketches.size()));
-  for (const std::string& sketch : req.sketches) AppendString(&out, sketch);
-  return out;
+  ByteWriter out;
+  out.Pod(req.top_n);
+  out.Pod(static_cast<uint64_t>(req.sketches.size()));
+  for (const std::string& sketch : req.sketches) out.String(sketch);
+  return std::move(out).Take();
 }
 
 Result<BatchQueryRequest> DecodeBatchQueryRequest(const std::string& payload) {
   BatchQueryRequest req;
-  size_t offset = 0;
+  ByteReader in(payload);
   uint64_t count = 0;
-  if (!ReadPod(payload, &offset, &req.top_n) ||
-      !ReadPod(payload, &offset, &count)) {
-    return Truncated("batch-query request");
-  }
-  // Each sketch record carries at least its length prefix; a count claiming
-  // more than could fit is corrupt, not worth looping over.
-  if (count > (payload.size() - offset) / sizeof(uint64_t)) {
-    return Status::DataLoss("batch-query request sketch count exceeds payload");
-  }
-  req.sketches.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string sketch;
-    if (!ReadString(payload, &offset, &sketch)) {
-      return Truncated("batch-query request");
-    }
-    req.sketches.push_back(std::move(sketch));
-  }
-  if (offset != payload.size()) return Trailing("batch-query request");
+  in.Pod(&req.top_n);
+  // Each sketch record carries at least its length prefix.
+  in.Count(&count, sizeof(uint64_t));
+  req.sketches.resize(count);
+  for (std::string& sketch : req.sketches) in.String(&sketch);
+  DPJL_RETURN_IF_ERROR(in.Finish("batch-query request payload"));
   return req;
 }
 
 std::string EncodeInsertRequest(const InsertRequest& req) {
-  std::string out;
-  AppendString(&out, req.id);
-  AppendString(&out, req.sketch);
-  return out;
+  ByteWriter out;
+  out.String(req.id);
+  out.String(req.sketch);
+  return std::move(out).Take();
 }
 
 Result<InsertRequest> DecodeInsertRequest(const std::string& payload) {
   InsertRequest req;
-  size_t offset = 0;
-  if (!ReadString(payload, &offset, &req.id) ||
-      !ReadString(payload, &offset, &req.sketch)) {
-    return Truncated("insert request");
-  }
-  if (offset != payload.size()) return Trailing("insert request");
+  ByteReader in(payload);
+  in.String(&req.id);
+  in.String(&req.sketch);
+  DPJL_RETURN_IF_ERROR(in.Finish("insert request payload"));
   return req;
 }
 
 std::string EncodeIdPayload(const std::string& id) {
-  std::string out;
-  AppendString(&out, id);
-  return out;
+  ByteWriter out;
+  out.String(id);
+  return std::move(out).Take();
 }
 
 Result<std::string> DecodeIdPayload(const std::string& payload) {
   std::string id;
-  size_t offset = 0;
-  if (!ReadString(payload, &offset, &id)) return Truncated("id");
-  if (offset != payload.size()) return Trailing("id");
+  ByteReader in(payload);
+  in.String(&id);
+  DPJL_RETURN_IF_ERROR(in.Finish("id payload"));
   return id;
 }
 
 std::string EncodeNeighbors(const std::vector<SketchIndex::Neighbor>& list) {
-  std::string out;
-  AppendPod(&out, static_cast<uint64_t>(list.size()));
+  ByteWriter out;
+  out.Pod(static_cast<uint64_t>(list.size()));
   for (const SketchIndex::Neighbor& neighbor : list) {
-    AppendString(&out, neighbor.id);
-    AppendPod(&out, neighbor.squared_distance);
+    out.String(neighbor.id);
+    out.Pod(neighbor.squared_distance);
   }
-  return out;
+  return std::move(out).Take();
 }
 
 Result<std::vector<SketchIndex::Neighbor>> DecodeNeighbors(
     const std::string& payload) {
-  size_t offset = 0;
+  ByteReader in(payload);
   uint64_t count = 0;
-  if (!ReadPod(payload, &offset, &count)) return Truncated("neighbors");
-  constexpr uint64_t kMinNeighborBytes = sizeof(uint64_t) + sizeof(double);
-  if (count > (payload.size() - offset) / kMinNeighborBytes) {
-    return Status::DataLoss("neighbors response count exceeds payload");
+  // Each neighbor is at least its id length prefix and its distance.
+  in.Count(&count, sizeof(uint64_t) + sizeof(double));
+  std::vector<SketchIndex::Neighbor> list(count);
+  for (SketchIndex::Neighbor& neighbor : list) {
+    in.String(&neighbor.id);
+    in.Pod(&neighbor.squared_distance);
   }
-  std::vector<SketchIndex::Neighbor> list;
-  list.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    SketchIndex::Neighbor neighbor;
-    if (!ReadString(payload, &offset, &neighbor.id) ||
-        !ReadPod(payload, &offset, &neighbor.squared_distance)) {
-      return Truncated("neighbors");
-    }
-    list.push_back(std::move(neighbor));
-  }
-  if (offset != payload.size()) return Trailing("neighbors");
+  DPJL_RETURN_IF_ERROR(in.Finish("neighbors payload"));
   return list;
 }
 
 std::string EncodeBatchNeighbors(
     const std::vector<std::vector<SketchIndex::Neighbor>>& lists) {
-  std::string out;
-  AppendPod(&out, static_cast<uint64_t>(lists.size()));
-  for (const auto& list : lists) AppendString(&out, EncodeNeighbors(list));
-  return out;
+  ByteWriter out;
+  out.Pod(static_cast<uint64_t>(lists.size()));
+  for (const auto& list : lists) out.String(EncodeNeighbors(list));
+  return std::move(out).Take();
 }
 
 Result<std::vector<std::vector<SketchIndex::Neighbor>>> DecodeBatchNeighbors(
     const std::string& payload) {
-  size_t offset = 0;
+  ByteReader in(payload);
   uint64_t count = 0;
-  if (!ReadPod(payload, &offset, &count)) return Truncated("batch neighbors");
-  if (count > (payload.size() - offset) / sizeof(uint64_t)) {
-    return Status::DataLoss("batch neighbors count exceeds payload");
-  }
+  // Each list is at least its length prefix.
+  in.Count(&count, sizeof(uint64_t));
   std::vector<std::vector<SketchIndex::Neighbor>> lists;
   lists.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string nested;
-    if (!ReadString(payload, &offset, &nested)) {
-      return Truncated("batch neighbors");
-    }
+  std::string nested;
+  for (uint64_t i = 0; i < count && in.String(&nested); ++i) {
     DPJL_ASSIGN_OR_RETURN(auto list, DecodeNeighbors(nested));
     lists.push_back(std::move(list));
   }
-  if (offset != payload.size()) return Trailing("batch neighbors");
+  DPJL_RETURN_IF_ERROR(in.Finish("batch neighbors payload"));
   return lists;
 }
 
 std::string EncodeDistance(double value) {
-  std::string out;
-  AppendPod(&out, value);
-  return out;
+  ByteWriter out;
+  out.Pod(value);
+  return std::move(out).Take();
 }
 
 Result<double> DecodeDistance(const std::string& payload) {
   double value = 0.0;
-  size_t offset = 0;
-  if (!ReadPod(payload, &offset, &value)) return Truncated("distance");
-  if (offset != payload.size()) return Trailing("distance");
+  ByteReader in(payload);
+  in.Pod(&value);
+  DPJL_RETURN_IF_ERROR(in.Finish("distance payload"));
   return value;
 }
 
 std::string EncodeErrorStatus(const Status& status) {
-  std::string out;
-  AppendPod(&out, static_cast<int32_t>(status.code()));
-  AppendString(&out, status.message());
-  return out;
+  ByteWriter out;
+  out.Pod(static_cast<int32_t>(status.code()));
+  out.String(status.message());
+  return std::move(out).Take();
 }
 
 Result<WireStatus> DecodeErrorStatus(const std::string& payload) {
   int32_t code = 0;
   WireStatus carried;
-  size_t offset = 0;
-  if (!ReadPod(payload, &offset, &code) ||
-      !ReadString(payload, &offset, &carried.message)) {
-    return Truncated("error status");
-  }
-  if (offset != payload.size()) return Trailing("error status");
+  ByteReader in(payload);
+  in.Pod(&code);
+  in.String(&carried.message);
+  DPJL_RETURN_IF_ERROR(in.Finish("error status payload"));
   DPJL_ASSIGN_OR_RETURN(carried.code, StatusCodeFromInt(code));
   return carried;
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/common/table_printer.h"
@@ -296,6 +297,94 @@ TEST(BoundedTopKTest, WorstTracksTheHeapFrontAndFullFlips) {
   top.Push(9.0);  // rejected
   EXPECT_EQ(top.Worst(), 3.0);
   EXPECT_EQ(top.TakeSorted(), (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+// ---------------------------------------------------------------------------
+// ByteWriter / ByteReader
+
+TEST(ByteCodecTest, RoundTripsEveryFieldKindInWriteOrder) {
+  const std::vector<double> values = {0.5, -1.25, 3.75};
+  ByteWriter out;
+  out.Raw("MAGC");
+  out.Pod(int32_t{-7});
+  out.Pod(uint64_t{0x0102030405060708ULL});
+  out.String(std::string("id\0x", 4));
+  out.Pod(static_cast<int64_t>(values.size()));
+  out.PodArray(values.data(), values.size());
+  const std::string bytes = std::move(out).Take();
+  ASSERT_EQ(bytes.size(), 4u + 4 + 8 + (8 + 4) + 8 + 3 * 8);
+  EXPECT_EQ(bytes.substr(8, 8), std::string("\x08\x07\x06\x05\x04\x03\x02\x01"))
+      << "PODs are little-endian";
+
+  ByteReader in(bytes);
+  int32_t small = 0;
+  uint64_t wide = 0;
+  std::string id;
+  int64_t count = 0;
+  std::vector<double> decoded;
+  EXPECT_TRUE(in.Magic("MAGC"));
+  EXPECT_TRUE(in.Pod(&small));
+  EXPECT_TRUE(in.Pod(&wide));
+  EXPECT_TRUE(in.String(&id));
+  EXPECT_TRUE(in.Pod(&count));
+  EXPECT_TRUE(in.PodArray(static_cast<uint64_t>(count), &decoded));
+  EXPECT_TRUE(in.Finish("record").ok());
+  EXPECT_EQ(small, -7);
+  EXPECT_EQ(wide, 0x0102030405060708ULL);
+  EXPECT_EQ(id, std::string("id\0x", 4));
+  EXPECT_EQ(decoded, values);
+}
+
+TEST(ByteCodecTest, FirstFailureIsStickyAndLeavesLaterOutputsUntouched) {
+  ByteWriter out;
+  out.Pod(uint32_t{5});
+  ByteReader in(out.view());
+  uint64_t too_wide = 42;
+  EXPECT_FALSE(in.Pod(&too_wide));
+  EXPECT_EQ(too_wide, 42u);
+  uint32_t fits = 9;
+  EXPECT_FALSE(in.Pod(&fits)) << "a failed reader must not resume";
+  EXPECT_EQ(fits, 9u);
+  const Status finished = in.Finish("widget header");
+  EXPECT_EQ(finished.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(finished.message(), "truncated widget header");
+}
+
+TEST(ByteCodecTest, FinishRefusesTrailingBytes) {
+  ByteReader in("abc");
+  EXPECT_TRUE(in.Magic("ab"));
+  const Status finished = in.Finish("widget");
+  EXPECT_EQ(finished.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(finished.message(), "trailing bytes after widget");
+}
+
+TEST(ByteCodecTest, MagicMismatchOrShortInputFails) {
+  EXPECT_FALSE(ByteReader("DPJLXXXX").Magic("DPJLSNAP"));
+  EXPECT_FALSE(ByteReader("DPJL").Magic("DPJLSNAP"));
+  EXPECT_TRUE(ByteReader("DPJLSNAP").Magic("DPJLSNAP"));
+}
+
+TEST(ByteCodecTest, HostileLengthsAndCountsFailWithoutWrapping) {
+  const auto u64 = [](uint64_t v) {
+    ByteWriter out;
+    out.Pod(v);
+    return std::move(out).Take();
+  };
+  // A string length near 2^64 must not wrap offset + len.
+  std::string s;
+  EXPECT_FALSE(ByteReader(u64(UINT64_MAX - 3) + "abcd").String(&s));
+  // 2^61 + 2 doubles wraps count * 8 to 16: the array read checks the
+  // count against the bytes left before it multiplies or allocates.
+  std::vector<double> values;
+  EXPECT_FALSE(ByteReader(std::string(16, '\0'))
+                   .PodArray((uint64_t{1} << 61) + 2, &values));
+  EXPECT_TRUE(values.empty());
+  // A record count is bounded by remaining / min_record_bytes.
+  uint64_t count = 7;
+  EXPECT_FALSE(ByteReader(u64(3) + std::string(47, 'x')).Count(&count, 16));
+  EXPECT_EQ(count, 7u);
+  EXPECT_TRUE(ByteReader(u64(3) + std::string(48, 'x')).Count(&count, 16));
+  EXPECT_EQ(count, 3u);
 }
 
 }  // namespace

@@ -345,6 +345,19 @@ TEST(SketchIndexTest, DeserializeRejectsOverflowingLengthFields) {
   EXPECT_EQ(decode(u64(UINT64_MAX)).status().code(), StatusCode::kDataLoss);
 }
 
+TEST(SketchIndexTest, DeserializeRejectsARecordWithAWrappingValueCount) {
+  const auto u64 = [](uint64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const std::string forged = testing::ForgedCountSketchBlob();
+  const std::string records =
+      u64(1) + u64(2) + "id" + u64(forged.size()) + forged;
+  const auto decoded = SketchIndex::Deserialize(
+      EncodeSnapshot(SnapshotKind::kIndex, records));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(SketchIndexTest, DeserializeSurvivesSingleByteCorruption) {
   // Flipping any single byte must yield either a clean error or a decoded
   // index (flips inside coordinate payloads are legitimate data) — never a

@@ -111,6 +111,14 @@ TEST(SketchTest, DeserializeRejectsTrailingGarbage) {
   EXPECT_FALSE(PrivateSketch::Deserialize(bytes).ok());
 }
 
+TEST(SketchTest, DeserializeRejectsAWrappingValueCount) {
+  const std::string forged = testing::ForgedCountSketchBlob();
+  ASSERT_EQ(forged.size(), 108u);
+  const auto result = PrivateSketch::Deserialize(forged);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(SketchMetadataTest, CompatibilityIgnoresNoiseFields) {
   SketchMetadata a = MakeMeta();
   SketchMetadata b = MakeMeta();

@@ -565,6 +565,28 @@ TEST(EngineOptionsTest, ParseRejectsMalformedOrOutOfDomainValues) {
   }
 }
 
+TEST(EngineOptionsTest, ParseTakesOnlyACompleteUnsignedDecimalToken) {
+  // Leading whitespace, a '+' sign and a negative seed are not complete
+  // decimal tokens; each is refused with the flag's own message.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"threads", " 12"}, {"threads", "+7"},  {"threads", "12 "},
+      {"seed", " -5"},    {"seed", "-5"},     {"seed", "+5"},
+      {"seed", " 5"},     {"seed", "18446744073709551616"}};
+  for (const auto& [key, raw] : bad) {
+    const auto options = EngineOptions::Parse({{key, raw}});
+    ASSERT_FALSE(options.ok()) << key << "='" << raw << "'";
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(options.status().message().find("--" + key + " expects"),
+              std::string::npos)
+        << options.status();
+  }
+  const auto options =
+      EngineOptions::Parse({{"threads", "12"}, {"seed", "18446744073709551615"}});
+  ASSERT_TRUE(options.ok()) << options.status();
+  EXPECT_EQ(options->threads, 12);
+  EXPECT_EQ(options->sketcher.projection_seed, 18446744073709551615ULL);
+}
+
 TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   EngineOptions options;
   options.sketcher.transform = TransformKind::kFjlt;

@@ -75,6 +75,30 @@ if [ $? -ne 0 ]; then
   fail "entries-scan-in-query fired outside src/core/: $out"
 fi
 
+# hand-rolled-codec is path-sensitive: the char cast fires anywhere in src/
+# but the codec header, the memcpy only in src/core/ and src/net/.
+mkdir -p "$scratch/src/net"
+cp "$fixtures/bad_codec.cc" "$scratch/src/net/codec.cc"
+expect_rule hand-rolled-codec --root "$scratch" src/net/codec.cc
+codec_count() {
+  "$python" "$lint" --root "$scratch" "$1" 2>/dev/null \
+    | grep -c ": hand-rolled-codec: "
+}
+count="$(codec_count src/net/codec.cc)"
+if [ "$count" -ne 2 ]; then
+  fail "hand-rolled-codec in src/net/: expected 2 findings, got $count"
+fi
+cp "$fixtures/bad_codec.cc" "$scratch/src/common/codec.cc"
+count="$(codec_count src/common/codec.cc)"
+if [ "$count" -ne 1 ]; then
+  fail "hand-rolled-codec in src/common/: expected 1 finding, got $count"
+fi
+cp "$fixtures/bad_codec.cc" "$scratch/src/common/bytes.h"
+count="$(codec_count src/common/bytes.h)"
+if [ "$count" -ne 0 ]; then
+  fail "hand-rolled-codec fired in the codec header: $count finding(s)"
+fi
+
 # Suppression comments must silence every rule they name.
 if ! "$python" "$lint" --root "$root" "$fixtures/good_suppressed.cc" > /dev/null 2>&1; then
   fail "suppressed fixture still reported findings"

@@ -402,6 +402,46 @@ Status PingOver(const Socket& connection) {
   return Status::OK();
 }
 
+TEST(ServerTest, ForgedSketchCountGetsDataLossAndTheServerKeepsServing) {
+  // A sketch whose value count wraps count * sizeof(double) must come back
+  // as a kDataLoss error frame on both RPCs that carry a sketch, never take
+  // the serving process down.
+  ServedEngine served = StartServedEngine(3);
+  auto connection =
+      ConnectTo(served.server->host(), served.server->port(), 2000);
+  ASSERT_TRUE(connection.ok()) << connection.status();
+  ASSERT_TRUE(SetRecvTimeout(*connection, 5000).ok());
+  const std::string forged = testing::ForgedCountSketchBlob();
+
+  InsertRequest insert;
+  insert.id = "forged";
+  insert.sketch = forged;
+  NearestNeighborsRequest query;
+  query.sketch = forged;
+  query.top_n = 2;
+  const std::pair<MessageType, std::string> requests[] = {
+      {MessageType::kInsertRequest, EncodeInsertRequest(insert)},
+      {MessageType::kNearestNeighborsRequest,
+       EncodeNearestNeighborsRequest(query)},
+  };
+  for (const auto& [type, payload] : requests) {
+    SCOPED_TRACE(std::string(MessageTypeName(type)));
+    FrameHeader header;
+    header.type = type;
+    ASSERT_TRUE(SendFrame(*connection, header, payload).ok());
+    const auto error = RecvFrame(*connection);
+    ASSERT_TRUE(error.ok()) << error.status();
+    EXPECT_EQ(error->header.type, MessageType::kErrorResponse);
+    const auto carried = DecodeErrorStatus(error->payload);
+    ASSERT_TRUE(carried.ok()) << carried.status();
+    EXPECT_EQ(carried->code, StatusCode::kDataLoss);
+  }
+  EXPECT_TRUE(PingOver(*connection).ok());
+  Client client(served.server->host(), served.server->port());
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_FALSE(served.engine->GetSketch("forged").ok());
+}
+
 TEST(ServerTest, ConnectionChurnAndFdExhaustionNeverLeaveTheServerDeaf) {
   ServedEngine served = StartServedEngine(3);
   const std::string host = served.server->host();

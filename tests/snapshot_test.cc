@@ -17,6 +17,7 @@
 #include "src/core/sketch_index.h"
 #include "src/core/sketcher.h"
 #include "src/core/snapshot.h"
+#include "src/net/frame.h"
 #include "src/workload/generators.h"
 #include "tests/test_util.h"
 
@@ -386,6 +387,164 @@ TEST(CompatibilityFingerprintTest, TracksCompatibleWithExactly) {
   EXPECT_TRUE(ma.CompatibleWith(ma2));
   EXPECT_NE(CompatibilityFingerprint(ma), CompatibilityFingerprint(mb));
   EXPECT_FALSE(ma.CompatibleWith(mb));
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: the FNV-1a digest of every persisted and wire format, from
+// literal inputs (no RNG). A round trip cannot see a layout change that the
+// decoder mirrors; these digests pin the layout itself.
+
+SketchMetadata GoldenMetadata() {
+  SketchMetadata meta;
+  meta.transform = TransformKind::kSjltBlock;
+  meta.input_dim = 100;
+  meta.output_dim = 4;
+  meta.sparsity = 2;
+  meta.projection_seed = 0x0123456789abcdefULL;
+  meta.placement = NoisePlacement::kOutput;
+  meta.noise_kind = NoiseDistribution::Kind::kLaplace;
+  meta.noise_scale = 1.5;
+  meta.noise_center = 18.0;
+  meta.epsilon = 1.0;
+  meta.delta = 0.0;
+  return meta;
+}
+
+PrivateSketch GoldenSketch(double first = 0.5) {
+  return PrivateSketch({first, -1.25, 3.75, 42.0}, GoldenMetadata());
+}
+
+SketchIndex GoldenIndex() {
+  SketchIndex index;
+  const std::vector<std::string> ids = {"alpha", "b", std::string("nul\0id", 6),
+                                        "delta", "epsilon"};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SketchMetadata meta = GoldenMetadata();
+    meta.noise_scale = 1.0 + 0.25 * static_cast<double>(i);
+    const double v = static_cast<double>(i);
+    DPJL_CHECK_OK(index.Add(
+        ids[i], PrivateSketch({v, -v, 0.5 * v, 1.0 + v}, meta)));
+  }
+  return index;
+}
+
+net::FrameHeader GoldenHeader(net::MessageType type) {
+  net::FrameHeader header;
+  header.type = type;
+  return header;
+}
+
+net::FrameHeader GoldenRequestHeader(net::MessageType type) {
+  net::FrameHeader header = GoldenHeader(type);
+  header.priority = Priority::kBatch;
+  header.tenant = "tenant-a";
+  header.deadline_ms = 250;
+  return header;
+}
+
+TEST(GoldenBytesTest, EveryFormatKeepsItsPinnedDigest) {
+  using net::MessageType;
+  const std::string sketch = GoldenSketch().Serialize();
+  const SketchIndex index = GoldenIndex();
+  const auto exported = index.ExportPartitions(3);
+  ASSERT_TRUE(exported.ok()) << exported.status();
+  ASSERT_EQ(exported->partitions.size(), 3u);
+
+  net::NearestNeighborsRequest nn;
+  nn.sketch = sketch;
+  nn.top_n = 5;
+  net::RangeQueryRequest range;
+  range.sketch = sketch;
+  range.radius_sq = 12.5;
+  net::SquaredDistanceRequest distance;
+  distance.id_a = "alpha";
+  distance.id_b = "b";
+  net::BatchQueryRequest batch;
+  batch.sketches = {sketch, GoldenSketch(-7.0).Serialize()};
+  batch.top_n = 3;
+  net::InsertRequest insert;
+  insert.id = "zeta";
+  insert.sketch = sketch;
+  const std::vector<SketchIndex::Neighbor> neighbors = {{"alpha", 1.5},
+                                                        {"b", 2.25}};
+
+  struct Golden {
+    const char* format;
+    std::string bytes;
+    uint64_t digest;
+  };
+  const auto request = [](MessageType type, std::string payload) {
+    return net::EncodeFrame(GoldenRequestHeader(type), std::move(payload));
+  };
+  const auto response = [](MessageType type, std::string payload) {
+    return net::EncodeFrame(GoldenHeader(type), std::move(payload));
+  };
+  const std::vector<Golden> formats = {
+      {"sketch", sketch, 0x9e4e33f3b133c19eULL},
+      {"index", index.Serialize(), 0x834a959704ed2e77ULL},
+      {"manifest", exported->manifest.Serialize(), 0x1ed70e5e5567e48cULL},
+      {"partition 0", exported->partitions[0], 0x59ca0e5451480987ULL},
+      {"partition 1", exported->partitions[1], 0xf4150f70f589dd70ULL},
+      {"partition 2", exported->partitions[2], 0xfb530c4a95db65eaULL},
+      {"nearest-neighbors request",
+       request(MessageType::kNearestNeighborsRequest,
+               net::EncodeNearestNeighborsRequest(nn)),
+       0x18bf0dc61676a67fULL},
+      {"range-query request",
+       request(MessageType::kRangeQueryRequest,
+               net::EncodeRangeQueryRequest(range)),
+       0x3badb01c1db56c61ULL},
+      {"squared-distance request",
+       request(MessageType::kSquaredDistanceRequest,
+               net::EncodeSquaredDistanceRequest(distance)),
+       0x6d0cda4a75ca3247ULL},
+      {"batch-query request",
+       request(MessageType::kBatchQueryRequest,
+               net::EncodeBatchQueryRequest(batch)),
+       0xb1c642294d15e5a1ULL},
+      {"insert request",
+       request(MessageType::kInsertRequest, net::EncodeInsertRequest(insert)),
+       0x44bd2af09789474cULL},
+      {"stats request", request(MessageType::kStatsRequest, ""),
+       0x80982a8035156bc5ULL},
+      {"get-sketch request",
+       request(MessageType::kGetSketchRequest, net::EncodeIdPayload("alpha")),
+       0x2d99a843bfac830cULL},
+      {"ping request", request(MessageType::kPingRequest, ""),
+       0x3212c5050c5e33fbULL},
+      {"neighbors response",
+       response(MessageType::kNeighborsResponse,
+                net::EncodeNeighbors(neighbors)),
+       0xac3ed3a827f22e14ULL},
+      {"distance response",
+       response(MessageType::kDistanceResponse, net::EncodeDistance(7.125)),
+       0x7d1af46146010b83ULL},
+      {"batch-neighbors response",
+       response(MessageType::kBatchNeighborsResponse,
+                net::EncodeBatchNeighbors({neighbors, {}})),
+       0x9146f64697c88233ULL},
+      {"ack response", response(MessageType::kAckResponse, ""),
+       0xba800b1e981ee049ULL},
+      {"stats response",
+       response(MessageType::kStatsResponse, "index_size\t5\n"),
+       0x95eb75e66d40335fULL},
+      {"sketch response", response(MessageType::kSketchResponse, sketch),
+       0xd72eb9b38fc6dddcULL},
+      {"error response",
+       response(MessageType::kErrorResponse,
+                net::EncodeErrorStatus(
+                    Status::NotFound("no sketch with id 'q'"))),
+       0x5aa5ee702f065ca0ULL},
+      {"ping response", response(MessageType::kPingResponse, ""),
+       0xafdfe3e9def8d2d8ULL},
+  };
+  for (const Golden& golden : formats) {
+    EXPECT_EQ(SnapshotChecksum(golden.bytes), golden.digest)
+        << golden.format << ": 0x" << std::hex
+        << SnapshotChecksum(golden.bytes) << "ULL";
+  }
+  EXPECT_EQ(CompatibilityFingerprint(GoldenMetadata()),
+            0xf97566babde6b7f5ULL);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/core/sketcher.h"
@@ -37,6 +39,23 @@ inline PrivateSketcher MakeSketcherOrDie(int64_t d, const SketcherConfig& config
   auto result = PrivateSketcher::Create(d, config);
   DPJL_CHECK(result.ok(), "test sketcher creation failed: " + result.status().ToString());
   return std::move(result).value();
+}
+
+/// A 108-byte sketch blob that carries two values while its output_dim and
+/// value count both claim 2^61 + 2. count * sizeof(double) wraps to the 16
+/// bytes present, so a decoder that multiplies before it compares accepts
+/// the header and then asks for an impossible allocation.
+inline std::string ForgedCountSketchBlob() {
+  SketchMetadata meta;
+  meta.input_dim = 8;
+  meta.output_dim = 2;
+  std::string bytes = PrivateSketch({1.0, 2.0}, meta).Serialize();
+  const int64_t forged = (int64_t{1} << 61) + 2;
+  constexpr size_t kOutputDimOffset = 20;  // magic 8, transform 4, input_dim 8
+  constexpr size_t kCountOffset = 84;      // the i64 right before the values
+  std::memcpy(bytes.data() + kOutputDimOffset, &forged, sizeof(forged));
+  std::memcpy(bytes.data() + kCountOffset, &forged, sizeof(forged));
+  return bytes;
 }
 
 }  // namespace dpjl::testing

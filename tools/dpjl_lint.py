@@ -41,6 +41,13 @@ entries-scan-in-query  a range-for over the index's per-ordinal metadata
                        per kernel pass, noise centers alongside); per-sketch
                        iteration silently reverts the scan engine. Member
                        *calls* like ``metadata_()`` do not fire.
+hand-rolled-codec      a ``reinterpret_cast`` to a char pointer anywhere in
+                       ``src/`` outside ``src/common/bytes.h``, or a
+                       ``memcpy`` in ``src/core/`` or ``src/net/``. Every
+                       sketch, snapshot, manifest and wire payload reads
+                       and writes through the one bounds-checked
+                       ByteReader/ByteWriter; a private copy of the byte
+                       layout brings back unchecked length arithmetic.
 
 Suppression: append ``// dpjl-lint: allow(<rule>)`` to the offending line
 or the line directly above it.
@@ -106,6 +113,10 @@ NOW_RE = re.compile(r"::now\s*\(\s*\)")
 ENTRIES_SCAN_RE = re.compile(
     r"for\s*\([^;)]*:\s*(?:[^)]*(?:\.|->)\s*)?metadata_\b(?!\s*\()"
 )
+CHAR_CAST_RE = re.compile(
+    r"reinterpret_cast\s*<\s*(?:const\s+)?(?:(?:un)?signed\s+)?char\s*\*\s*>"
+)
+MEMCPY_RE = re.compile(r"\bmemcpy\s*\(")
 COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 CHAR_RE = re.compile(r"'(?:[^'\\]|\\.)*'")
@@ -118,6 +129,10 @@ NOISE_PATH_STEMS = ("sketcher", "batch_sketcher", "noise")
 
 # The wrapper header legitimately spells out the std primitives it wraps.
 BARE_MUTEX_EXEMPT = "src/common/annotated_mutex.h"
+
+# The one byte codec; the layers whose formats must go through it.
+CODEC_HEADER = "src/common/bytes.h"
+CODEC_USER_DIRS = ("src/core/", "src/net/")
 
 
 def strip_noncode(line: str) -> str:
@@ -250,6 +265,25 @@ def lint_file(path: Path, rel: str):
                     "range-for over the per-sketch metadata in core query "
                     "code; scan the sketch arena so the blocked kernels see "
                     "the candidates",
+                )
+            )
+
+        if (
+            rel.startswith("src/")
+            and rel != CODEC_HEADER
+            and (
+                CHAR_CAST_RE.search(code)
+                or (rel.startswith(CODEC_USER_DIRS) and MEMCPY_RE.search(code))
+            )
+            and not suppressed("hand-rolled-codec", raw_lines, index)
+        ):
+            findings.append(
+                (
+                    rel,
+                    lineno,
+                    "hand-rolled-codec",
+                    "hand-rolled byte codec; read and write through "
+                    "ByteReader/ByteWriter in src/common/bytes.h",
                 )
             )
 
