@@ -1,6 +1,7 @@
 #ifndef DPJL_COMMON_THREAD_POOL_H_
 #define DPJL_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -10,6 +11,27 @@
 #include "src/common/annotated_mutex.h"
 
 namespace dpjl {
+
+/// Cooperative cancellation handle threaded through long-running
+/// computations. `Cancelled()` turning true is a request, not a guarantee:
+/// the computation polls it at its natural boundaries (a scan polls it
+/// before every (segment, block range) unit) and unwinds with `kCancelled`
+/// at the next one. A default-constructed token never cancels. Trivially
+/// copyable; the referenced flag must outlive the computation (the engine
+/// stores it in the future's shared state, which the in-flight request
+/// handler keeps alive).
+class CancelToken {
+ public:
+  CancelToken() = default;
+  explicit CancelToken(const std::atomic<bool>* flag) : flag_(flag) {}
+
+  bool Cancelled() const {
+    return flag_ != nullptr && flag_->load(std::memory_order_relaxed);
+  }
+
+ private:
+  const std::atomic<bool>* flag_ = nullptr;
+};
 
 /// A small fixed-size thread pool built around one primitive:
 /// `ParallelFor(begin, end, grain, fn)`. There is no work stealing and no

@@ -6,13 +6,10 @@
 
 namespace dpjl {
 
-BatchSketcher::BatchSketcher(const PrivateSketcher* sketcher, ThreadPool* pool,
-                             int64_t grain)
-    : sketcher_(sketcher), pool_(pool), grain_(grain < 0 ? 0 : grain) {}
+BatchSketcher::BatchSketcher(const PrivateSketcher* sketcher, ThreadPool* pool)
+    : sketcher_(sketcher), pool_(pool) {}
 
-int64_t BatchSketcher::ResolveGrain(int64_t batch_size, int threads,
-                                    int64_t requested) {
-  if (requested > 0) return requested;
+int64_t BatchSketcher::ResolveGrain(int64_t batch_size, int threads) {
   if (threads < 1) threads = 1;
   if (batch_size <= 0) return kSketchBlockWidth;
   // ~4 chunks per thread balances load without shrinking chunks to the
@@ -38,8 +35,8 @@ Result<std::vector<PrivateSketch>> BatchSketcher::BatchSketch(
           std::to_string(sketcher_->input_dim()));
     }
   }
-  const int64_t grain = ResolveGrain(
-      n, pool_ != nullptr ? pool_->num_threads() : 1, grain_);
+  const int64_t grain =
+      ResolveGrain(n, pool_ != nullptr ? pool_->num_threads() : 1);
   std::vector<PrivateSketch> out(static_cast<size_t>(n));
   ThreadPool::Run(pool_, 0, n, grain, [&](int64_t begin, int64_t end) {
     // One matrix-form call per chunk: the transform rides micro-blocks of
@@ -66,8 +63,8 @@ Result<std::vector<PrivateSketch>> BatchSketcher::BatchSketchSparse(
           ", sketcher expects " + std::to_string(sketcher_->input_dim()));
     }
   }
-  const int64_t grain = ResolveGrain(
-      n, pool_ != nullptr ? pool_->num_threads() : 1, grain_);
+  const int64_t grain =
+      ResolveGrain(n, pool_ != nullptr ? pool_->num_threads() : 1);
   std::vector<PrivateSketch> out(static_cast<size_t>(n));
   ThreadPool::Run(pool_, 0, n, grain, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {

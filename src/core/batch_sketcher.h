@@ -38,21 +38,17 @@ inline uint64_t BatchItemNoiseSeed(uint64_t base_noise_seed, int64_t index) {
 class BatchSketcher {
  public:
   /// `pool` may be null: every batch then runs serially on the caller.
-  /// `grain` is the number of vectors per scheduled chunk; 0 (the default)
-  /// derives a grain from the batch size and pool thread count via
-  /// ResolveGrain, which keeps chunks micro-block aligned instead of
-  /// degenerating to one task per item.
+  /// Chunks are sized by ResolveGrain from the batch size and the pool's
+  /// thread count.
   explicit BatchSketcher(const PrivateSketcher* sketcher,
-                         ThreadPool* pool = nullptr, int64_t grain = 0);
+                         ThreadPool* pool = nullptr);
 
   /// The chunk size a batch of `batch_size` items uses on `threads`
-  /// threads when the caller requested `requested` (0 = auto). Auto aims
-  /// for ~4 chunks per thread for load balance, rounded up to a multiple
-  /// of kSketchBlockWidth so SIMD micro-blocks run full, and never below
-  /// one micro-block. Chunking affects scheduling only, never output
-  /// (each item's noise seed is a pure function of its index).
-  static int64_t ResolveGrain(int64_t batch_size, int threads,
-                              int64_t requested);
+  /// threads: ~4 chunks per thread for load balance, rounded up to a
+  /// multiple of kSketchBlockWidth so SIMD micro-blocks run full, and
+  /// never below one micro-block. Chunking affects scheduling only, never
+  /// output (each item's noise seed is a pure function of its index).
+  static int64_t ResolveGrain(int64_t batch_size, int threads);
 
   /// Dense batch: sketches[i] == sketcher.Sketch(xs[i],
   /// BatchItemNoiseSeed(base_noise_seed, i)). Fails without sketching
@@ -71,7 +67,6 @@ class BatchSketcher {
  private:
   const PrivateSketcher* sketcher_;
   ThreadPool* pool_;
-  int64_t grain_;
 };
 
 /// Parallel release of a batch of streaming accumulators: out[i] ==

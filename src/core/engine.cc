@@ -1,37 +1,24 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 
 #include "src/common/check.h"
-#include "src/common/top_k.h"
 #include "src/core/estimators.h"
 #include "src/jl/make_transform.h"
 #include "src/linalg/kernels.h"
 
 namespace dpjl {
 
-Result<double> ParseDoubleFlag(const std::string& key, const std::string& raw) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE) {
-    return Status::InvalidArgument("--" + key + " expects a number, got '" +
-                                   raw + "'");
-  }
-  return value;
-}
-
 namespace {
 
-/// The whole of `raw` as one decimal integer: std::from_chars takes no
-/// leading whitespace and no '+', and reports overflow, so anything but a
-/// complete in-range token is refused.
+/// The whole of `raw` as one decimal number: std::from_chars takes no
+/// leading whitespace, no '+' and no hex prefix, and reports overflow, so
+/// anything but a complete in-range token is refused.
 template <typename T>
 bool ParseDecimal(const std::string& raw, T* value) {
   const char* end = raw.data() + raw.size();
@@ -40,6 +27,16 @@ bool ParseDecimal(const std::string& raw, T* value) {
 }
 
 }  // namespace
+
+Result<double> ParseDoubleFlag(const std::string& key, const std::string& raw) {
+  double value = 0.0;
+  // from_chars also spells out "inf" and "nan"; neither is a number here.
+  if (!ParseDecimal(raw, &value) || !std::isfinite(value)) {
+    return Status::InvalidArgument("--" + key + " expects a number, got '" +
+                                   raw + "'");
+  }
+  return value;
+}
 
 Result<int64_t> ParseIntFlag(const std::string& key, const std::string& raw,
                              int64_t min, int64_t max) {
@@ -111,8 +108,8 @@ Result<TransformKind> ParseTransformFlag(const std::string& raw) {
       "' (expected sjlt|sjlt-graph|fjlt|gaussian|achlioptas|sparse-uniform)");
 }
 
-/// Shortest decimal form that strtod parses back to the identical double,
-/// so ToString -> Parse is exactly the identity the header promises.
+/// Shortest decimal form that ParseDoubleFlag parses back to the identical
+/// double, so ToString -> Parse is exactly the identity the header promises.
 std::string FormatDouble(double value) {
   char buffer[32];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
@@ -133,7 +130,7 @@ Result<EngineOptions> EngineOptions::Parse(
       "k-override",     "s-override",    "noise",
       "placement",      "threads",       "serving-threads",
       "queue-capacity", "tenant-quota",  "tenant-rate",
-      "deadline-ms",    "starvation-age-ms", "batch-grain"};
+      "deadline-ms",    "starvation-age-ms"};
   for (const auto& entry : flags) {
     if (kRecognized.count(entry.first) == 0 &&
         std::find(passthrough.begin(), passthrough.end(), entry.first) ==
@@ -218,10 +215,6 @@ Result<EngineOptions> EngineOptions::Parse(
         ParseIntFlag("starvation-age-ms", *raw, 0,
                      std::numeric_limits<int64_t>::max() / 2));
   }
-  if (const std::string* raw = find("batch-grain")) {
-    DPJL_ASSIGN_OR_RETURN(options.batch_grain,
-                          ParseIntFlag("batch-grain", *raw, 0, 1 << 20));
-  }
   DPJL_RETURN_IF_ERROR(options.Validate());
   return options;
 }
@@ -243,8 +236,7 @@ std::string EngineOptions::ToString() const {
       << " --tenant-quota=" << tenant_quota
       << " --tenant-rate=" << tenant_rate
       << " --deadline-ms=" << default_deadline_ms
-      << " --starvation-age-ms=" << starvation_age_ms
-      << " --batch-grain=" << batch_grain;
+      << " --starvation-age-ms=" << starvation_age_ms;
   return out.str();
 }
 
@@ -274,11 +266,6 @@ Status EngineOptions::Validate() const {
   if (starvation_age_ms < 0) {
     return Status::InvalidArgument(
         "starvation-age-ms must be non-negative (0 = strict priority)");
-  }
-  if (batch_grain < 0 || batch_grain > (int64_t{1} << 20)) {
-    return Status::InvalidArgument(
-        "batch-grain must lie in [0, 2^20] (0 = auto from batch size and "
-        "threads)");
   }
   return Status::OK();
 }
@@ -310,7 +297,7 @@ Engine::Engine(EngineOptions options, std::optional<PrivateSketcher> sketcher,
   const int threads =
       options_.threads == 0 ? ThreadPool::DefaultThreadCount() : options_.threads;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  if (sketcher_) batcher_.emplace(&*sketcher_, pool_.get(), options_.batch_grain);
+  if (sketcher_) batcher_.emplace(&*sketcher_, pool_.get());
   segments_.emplace_back(kOwnedSegment, std::move(index));
 }
 
@@ -427,85 +414,11 @@ std::string Engine::SerializeIndex() const {
   return segments_.front().second.Serialize();
 }
 
-Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
-    const PrivateSketch& query, int64_t top_n, ThreadPool* pool,
-    const CancelToken& cancel) const {
-  DPJL_ASSIGN_OR_RETURN(
-      std::vector<std::vector<SketchIndex::Neighbor>> lists,
-      NearestNeighborsBatchLocked({&query}, top_n, pool, cancel));
-  return std::move(lists.front());
-}
-
-Result<std::vector<std::vector<SketchIndex::Neighbor>>>
-Engine::NearestNeighborsBatchLocked(
-    const std::vector<const PrivateSketch*>& probes, int64_t top_n,
-    ThreadPool* pool, const CancelToken& cancel) const {
-  std::vector<std::vector<SketchIndex::Neighbor>> results;
-  if (probes.empty()) return results;
-  if (cancel.Cancelled()) {
-    return Status::Cancelled("query cancelled before its partition fan-out");
-  }
-  // The per-partition scans repeat this check; it runs here first so the
-  // gather heaps below are never constructed with an invalid bound.
-  if (top_n < 1) {
-    return Status::InvalidArgument("top_n must be >= 1");
-  }
-  // Scatter: for each tile of up to kScanTileProbes probes, every segment
-  // produces each probe's own top_n in one multi-probe arena pass
-  // (pool-parallel across its blocks in turn). A probe's global top_n is
-  // contained in the union of its per-segment lists, so gathering them
-  // through the same deterministic (distance, id) bounded top-k the arena
-  // scans use is byte-identical to scanning one merged index. The cancel
-  // token is polled before every (tile, segment) step: a cancelled caller
-  // stops paying for the rest of the fan-out instead of completing a
-  // result nobody reads.
-  using Gather = BoundedTopK<SketchIndex::Neighbor,
-                             bool (*)(const SketchIndex::Neighbor&,
-                                      const SketchIndex::Neighbor&)>;
-  const int64_t num_probes = static_cast<int64_t>(probes.size());
-  results.reserve(probes.size());
-  for (int64_t first = 0; first < num_probes; first += kScanTileProbes) {
-    const std::vector<const PrivateSketch*> tile(
-        probes.begin() + first,
-        probes.begin() + std::min(num_probes, first + kScanTileProbes));
-    std::vector<Gather> gathers(tile.size(),
-                                Gather(top_n, SketchIndex::NeighborLess));
-    for (const auto& segment : segments_) {
-      if (cancel.Cancelled()) {
-        return Status::Cancelled("query cancelled mid partition fan-out");
-      }
-      DPJL_ASSIGN_OR_RETURN(
-          std::vector<std::vector<SketchIndex::Neighbor>> partial,
-          segment.second.NearestNeighborsBatch(tile, top_n, pool));
-      for (size_t p = 0; p < tile.size(); ++p) {
-        for (SketchIndex::Neighbor& neighbor : partial[p]) {
-          gathers[p].Push(std::move(neighbor));
-        }
-      }
-    }
-    for (Gather& gather : gathers) results.push_back(gather.TakeSorted());
-  }
-  return results;
-}
-
-Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQueryLocked(
-    const PrivateSketch& query, double radius_sq, ThreadPool* pool,
-    const CancelToken& cancel) const {
-  if (cancel.Cancelled()) {
-    return Status::Cancelled("query cancelled before its partition fan-out");
-  }
-  std::vector<SketchIndex::Neighbor> all;
-  for (const auto& segment : segments_) {
-    if (cancel.Cancelled()) {
-      return Status::Cancelled("query cancelled mid partition fan-out");
-    }
-    DPJL_ASSIGN_OR_RETURN(std::vector<SketchIndex::Neighbor> partial,
-                          segment.second.RangeQuery(query, radius_sq, pool));
-    all.insert(all.end(), std::make_move_iterator(partial.begin()),
-               std::make_move_iterator(partial.end()));
-  }
-  std::sort(all.begin(), all.end(), SketchIndex::NeighborLess);
-  return all;
+std::vector<const SketchIndex*> Engine::SegmentsLocked() const {
+  std::vector<const SketchIndex*> segments;
+  segments.reserve(segments_.size());
+  for (const auto& segment : segments_) segments.push_back(&segment.second);
+  return segments;
 }
 
 std::optional<PrivateSketch> Engine::FindLocked(const std::string& id) const {
@@ -567,21 +480,22 @@ int64_t Engine::num_partitions() const {
 Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighbors(
     const PrivateSketch& query, int64_t top_n) const {
   ReaderLock lock(index_mutex_);
-  return NearestNeighborsLocked(query, top_n, pool_.get());
+  DPJL_ASSIGN_OR_RETURN(std::vector<std::vector<SketchIndex::Neighbor>> lists,
+                        SketchIndex::NearestNeighborsAcross(
+                            SegmentsLocked(), {&query}, top_n, pool_.get()));
+  return std::move(lists.front());
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQuery(
     const PrivateSketch& query, double radius_sq) const {
   ReaderLock lock(index_mutex_);
-  return RangeQueryLocked(query, radius_sq, pool_.get());
+  return SketchIndex::RangeQueryAcross(SegmentsLocked(), query, radius_sq,
+                                       pool_.get());
 }
 
 Result<SketchIndex::DistanceMatrix> Engine::AllPairsDistances() const {
   ReaderLock lock(index_mutex_);
-  // The segmented matrix equals the merged index's entry for entry.
-  std::vector<const SketchIndex*> segments;
-  for (const auto& segment : segments_) segments.push_back(&segment.second);
-  return SketchIndex::AllPairsAcross(segments, pool_.get());
+  return SketchIndex::AllPairsAcross(SegmentsLocked(), pool_.get());
 }
 
 Result<double> Engine::SquaredDistance(const std::string& id_a,
@@ -639,9 +553,14 @@ EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
     PrivateSketch query, int64_t top_n, const RequestOptions& request) {
   return Submit<std::vector<SketchIndex::Neighbor>>(
-      [this, query = std::move(query), top_n](const CancelToken& cancel) {
+      [this, query = std::move(query), top_n](const CancelToken& cancel)
+          -> Result<std::vector<SketchIndex::Neighbor>> {
         ReaderLock lock(index_mutex_);
-        return NearestNeighborsLocked(query, top_n, pool_.get(), cancel);
+        DPJL_ASSIGN_OR_RETURN(
+            std::vector<std::vector<SketchIndex::Neighbor>> lists,
+            SketchIndex::NearestNeighborsAcross(SegmentsLocked(), {&query},
+                                                top_n, pool_.get(), cancel));
+        return std::move(lists.front());
       },
       request);
 }
@@ -651,7 +570,8 @@ EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitRangeQuery(
   return Submit<std::vector<SketchIndex::Neighbor>>(
       [this, query = std::move(query), radius_sq](const CancelToken& cancel) {
         ReaderLock lock(index_mutex_);
-        return RangeQueryLocked(query, radius_sq, pool_.get(), cancel);
+        return SketchIndex::RangeQueryAcross(SegmentsLocked(), query,
+                                             radius_sq, pool_.get(), cancel);
       },
       request);
 }
@@ -662,17 +582,17 @@ Engine::SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
   return Submit<std::vector<std::vector<SketchIndex::Neighbor>>>(
       [this, queries = std::move(queries), top_n](const CancelToken& cancel)
           -> Result<std::vector<std::vector<SketchIndex::Neighbor>>> {
-        // One read-lock acquisition for the whole batch. Probes are
-        // scored a tile at a time, each tile one multi-probe pass over
-        // every segment's arena, so the batch costs far less than
-        // queries.size() single scans; by the index's determinism
-        // contract each result is byte-identical to a lone SubmitQuery.
+        // One read-lock acquisition and one scan plan for the whole
+        // batch; each tile is one multi-probe pass over every unit, so the
+        // batch costs far less than queries.size() single scans, and by
+        // the index's determinism contract each result is byte-identical
+        // to a lone SubmitQuery.
         std::vector<const PrivateSketch*> probes;
         probes.reserve(queries.size());
         for (const PrivateSketch& query : queries) probes.push_back(&query);
         ReaderLock lock(index_mutex_);
-        return NearestNeighborsBatchLocked(probes, top_n, pool_.get(),
-                                           cancel);
+        return SketchIndex::NearestNeighborsAcross(SegmentsLocked(), probes,
+                                                   top_n, pool_.get(), cancel);
       },
       request);
 }

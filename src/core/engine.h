@@ -66,12 +66,6 @@ struct EngineOptions {
   /// do not pass their own; 0 means no deadline.
   int64_t default_deadline_ms = 0;
 
-  /// Vectors per scheduled chunk in SketchBatch: 0 (the default) derives a
-  /// grain from batch size and thread count (BatchSketcher::ResolveGrain);
-  /// explicit values are taken as-is. Affects scheduling only, never
-  /// output.
-  int64_t batch_grain = 0;
-
   /// Anti-starvation knob: a queued batch or best-effort request older
   /// than this many milliseconds is promoted one lane at pop time (see
   /// RequestQueue). 0 (the default) keeps strict priority, under which a
@@ -82,7 +76,7 @@ struct EngineOptions {
   /// dpjl_tool already builds): epsilon, delta, alpha, beta, seed,
   /// transform, k-override, s-override, noise, placement, threads,
   /// serving-threads, queue-capacity, tenant-quota, tenant-rate,
-  /// deadline-ms, starvation-age-ms, batch-grain. A key
+  /// deadline-ms, starvation-age-ms. A key
   /// that is neither recognized nor listed in `passthrough` is an error
   /// (catching typos like --epsilno); callers that keep their own flags in
   /// the same map (e.g. dpjl_tool's --input) declare them via
@@ -103,7 +97,8 @@ struct EngineOptions {
 
 /// The strict value parsers behind EngineOptions::Parse, shared with the
 /// CLI's own numeric flags so every flag fails the same way. Each accepts
-/// only a complete decimal token (no trailing characters, no overflow) and
+/// only a complete decimal token (no leading whitespace or '+', no hex, no
+/// trailing characters, no overflow; for doubles no inf or nan) and
 /// reports a malformed `raw` as kInvalidArgument "--<key> expects ...".
 Result<double> ParseDoubleFlag(const std::string& key, const std::string& raw);
 /// As ParseDoubleFlag for an integer in [min, max].
@@ -111,27 +106,6 @@ Result<int64_t> ParseIntFlag(const std::string& key, const std::string& raw,
                              int64_t min, int64_t max);
 /// As ParseDoubleFlag for a non-negative 64-bit seed.
 Result<uint64_t> ParseSeedFlag(const std::string& key, const std::string& raw);
-
-/// Cooperative cancellation handle threaded through long-running engine
-/// computations. `Cancelled()` turning true is a request, not a guarantee:
-/// the computation polls it at its natural scatter-gather boundaries
-/// (between partition scans, between batched probes) and unwinds with
-/// `kCancelled` at the next one. A default-constructed token never
-/// cancels. Trivially copyable; the referenced flag must outlive the
-/// computation (the engine stores it in the future's shared state, which
-/// the in-flight request handler keeps alive).
-class CancelToken {
- public:
-  CancelToken() = default;
-  explicit CancelToken(const std::atomic<bool>* flag) : flag_(flag) {}
-
-  bool Cancelled() const {
-    return flag_ != nullptr && flag_->load(std::memory_order_relaxed);
-  }
-
- private:
-  const std::atomic<bool>* flag_ = nullptr;
-};
 
 namespace internal {
 
@@ -195,8 +169,7 @@ class [[nodiscard]] EngineFuture {
   /// a cancel/serve race resolves to exactly one outcome. Even on false,
   /// the cooperative cancellation flag is raised first, so a request that
   /// is already mid-computation unwinds with `kCancelled` at its next
-  /// scatter-gather boundary instead of running to completion (see
-  /// CancelToken). Safe from any thread, and safe after the engine's
+  /// scan unit instead of running to completion (see CancelToken). Safe from any thread, and safe after the engine's
   /// destruction.
   bool Cancel() {
     DPJL_CHECK(valid(), "EngineFuture is default-constructed");
@@ -265,8 +238,9 @@ struct EngineStats {
 /// Partitioned serving: AttachPartition adopts an independently built
 /// SketchIndex (typically a deserialized partition snapshot, see
 /// SketchIndex::ExportPartitions) as a read-only member of the served
-/// corpus. Queries scatter across the engine-owned index and every
-/// attached partition and merge the partial results by the deterministic
+/// corpus. A query runs one scan plan over the engine-owned index and
+/// every attached partition — a flat list of (segment, block range) units
+/// — and merges the units' partial results once by the deterministic
 /// (distance, id) order, so results are byte-identical to querying one
 /// merged index — at any partition count or thread count.
 /// Attach/Detach take the same write lock Insert does; in-flight queries
@@ -413,16 +387,17 @@ class Engine {
       const RequestOptions& request = {});
 
   /// Many probes, one admission: the batch occupies a single queue slot
-  /// (one quota unit, one queue hop) and, once popped, is scored
-  /// kScanTileProbes probes at a time — each tile one multi-probe pass
-  /// over every segment's arena (SketchIndex::NearestNeighborsBatch), so a
-  /// block streams from memory once per tile instead of once per probe.
-  /// result[i] is byte-identical to `SubmitQuery(queries[i], top_n)` at
-  /// any thread count and partition layout. On failure the status is the
-  /// one the lowest-index failing probe's SubmitQuery returns
-  /// (kInvalidArgument for top_n < 1, kFailedPrecondition for an
-  /// incompatible probe); a cancel observed before any (tile, segment)
-  /// step yields kCancelled, never a partial result.
+  /// (one quota unit, one queue hop) and, once popped, runs one scan plan
+  /// over the whole served corpus (SketchIndex::NearestNeighborsAcross):
+  /// probes are scored kScanTileProbes at a time, each tile one multi-probe
+  /// pass over every (segment, block range) unit, so a block streams from
+  /// memory once per tile instead of once per probe. result[i] is
+  /// byte-identical to `SubmitQuery(queries[i], top_n)` at any thread
+  /// count and partition layout. top_n < 1 fails with kInvalidArgument,
+  /// even for an empty batch; otherwise the status is the one the
+  /// lowest-index failing probe's SubmitQuery returns (kFailedPrecondition
+  /// for an incompatible probe). A cancel observed by any unit yields
+  /// kCancelled, never a partial result.
   EngineFuture<std::vector<std::vector<SketchIndex::Neighbor>>>
   SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
                    const RequestOptions& request = {});
@@ -462,25 +437,9 @@ class Engine {
 
   RequestQueue::Clock::time_point DeadlineFor(int64_t deadline_ms) const;
 
-  /// Scatter-gather query cores. Callers hold the read side of
-  /// `index_mutex_`; `pool` splits each segment scan across its blocks.
-  /// `cancel` is polled between partition scans: a raised token unwinds
-  /// the remaining fan-out with kCancelled. NearestNeighborsLocked is the
-  /// one-probe case of NearestNeighborsBatchLocked, which walks `probes`
-  /// in tiles of kScanTileProbes and polls `cancel` before every (tile,
-  /// segment) step.
-  Result<std::vector<SketchIndex::Neighbor>> NearestNeighborsLocked(
-      const PrivateSketch& query, int64_t top_n, ThreadPool* pool,
-      const CancelToken& cancel = CancelToken()) const
-      REQUIRES_SHARED(index_mutex_);
-  Result<std::vector<std::vector<SketchIndex::Neighbor>>>
-  NearestNeighborsBatchLocked(const std::vector<const PrivateSketch*>& probes,
-                              int64_t top_n, ThreadPool* pool,
-                              const CancelToken& cancel) const
-      REQUIRES_SHARED(index_mutex_);
-  Result<std::vector<SketchIndex::Neighbor>> RangeQueryLocked(
-      const PrivateSketch& query, double radius_sq, ThreadPool* pool,
-      const CancelToken& cancel = CancelToken()) const
+  /// The served corpus in scan order, as the segment list the
+  /// SketchIndex::*Across scans take.
+  std::vector<const SketchIndex*> SegmentsLocked() const
       REQUIRES_SHARED(index_mutex_);
 
   /// Copy of the sketch for `id` from the first segment holding it.

@@ -1,6 +1,8 @@
 #include "src/core/sketch_index.h"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 
 #include "src/common/bytes.h"
 #include "src/common/top_k.h"
@@ -12,10 +14,57 @@ namespace dpjl {
 
 namespace {
 
-/// Arena blocks (of kSketchBlockWidth sketches) per pool task in
-/// pool-parallel scans: a fixed grain, so task boundaries depend on the
-/// corpus alone, never on the pool.
+/// Arena blocks (of kSketchBlockWidth sketches) per scan-plan unit: a
+/// fixed grain, so unit boundaries depend on the corpus alone, never on
+/// the pool.
 constexpr int64_t kScanGrainBlocks = 16;
+
+/// One unit of a scan plan: arena blocks [block_begin, block_end) of
+/// `segment`.
+struct ScanUnit {
+  const SketchIndex* segment;
+  int64_t block_begin;
+  int64_t block_end;
+};
+
+/// The scan plan over `segments`: each segment's arena blocks in
+/// kScanGrainBlocks ranges, segments in order — the same units with or
+/// without a pool.
+std::vector<ScanUnit> PlanScan(const std::vector<const SketchIndex*>& segments) {
+  std::vector<ScanUnit> plan;
+  for (const SketchIndex* segment : segments) {
+    const int64_t blocks =
+        (segment->size() + kSketchBlockWidth - 1) / kSketchBlockWidth;
+    for (int64_t begin = 0; begin < blocks; begin += kScanGrainBlocks) {
+      plan.push_back(ScanUnit{segment, begin,
+                              std::min(blocks, begin + kScanGrainBlocks)});
+    }
+  }
+  return plan;
+}
+
+/// Runs `scan(u)` for every unit index u of `plan` through one
+/// ThreadPool::Run (serially on the caller when `pool` is null). Each unit
+/// polls `cancel` first and skips its scan once the token is raised; a
+/// raised token never falls back, so it still shows after the run.
+template <typename Scan>
+Status RunPlan(const std::vector<ScanUnit>& plan, ThreadPool* pool,
+               const CancelToken& cancel, Scan&& scan) {
+  ThreadPool::Run(pool, 0, static_cast<int64_t>(plan.size()), 1,
+                  [&](int64_t begin, int64_t end) {
+                    for (int64_t u = begin; u < end; ++u) {
+                      if (!cancel.Cancelled()) scan(static_cast<size_t>(u));
+                    }
+                  });
+  if (cancel.Cancelled()) return Status::Cancelled("query cancelled mid scan");
+  return Status::OK();
+}
+
+/// The per-pair estimator's incompatibility message: one up-front check
+/// per segment and probe replaces its per-entry checks without changing
+/// the error surface.
+constexpr char kIncompatible[] =
+    "sketches come from different projections and cannot be compared";
 
 using TopK = BoundedTopK<SketchIndex::Neighbor,
                          bool (*)(const SketchIndex::Neighbor&,
@@ -147,16 +196,25 @@ Result<double> SketchIndex::SquaredDistance(const std::string& id_a,
   return EstimateSquaredDistance(SketchAt(a->second), SketchAt(b->second));
 }
 
-Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
-  if (metadata_.empty()) return Status::OK();
-  if (!metadata_.front().CompatibleWith(query.metadata())) {
-    // The exact message the per-pair estimator returns: one up-front check
-    // replaces its per-entry checks without changing the error surface
-    // (stored sketches are mutually compatible by the Add invariant).
-    return Status::FailedPrecondition(
-        "sketches come from different projections and cannot be compared");
+Result<const SketchMetadata*> SketchIndex::CorpusReference(
+    const std::vector<const SketchIndex*>& segments,
+    const std::vector<const PrivateSketch*>& probes) {
+  const SketchMetadata* reference = nullptr;
+  for (const SketchIndex* segment : segments) {
+    if (segment->metadata_.empty()) continue;
+    const SketchMetadata& first = segment->metadata_.front();
+    if (reference == nullptr) {
+      reference = &first;
+    } else if (!reference->CompatibleWith(first)) {
+      return Status::FailedPrecondition(kIncompatible);
+    }
   }
-  return Status::OK();
+  for (const PrivateSketch* probe : probes) {
+    if (reference != nullptr && !reference->CompatibleWith(probe->metadata())) {
+      return Status::FailedPrecondition(kIncompatible);
+    }
+  }
+  return reference;
 }
 
 template <typename Visit>
@@ -191,37 +249,56 @@ void SketchIndex::ScanBlocks(const PrivateSketch* const* probes,
 
 std::vector<std::vector<SketchIndex::Neighbor>> SketchIndex::ScanTopK(
     const PrivateSketch* const* probes, int64_t num_probes, int64_t top_n,
-    int64_t block_begin, int64_t block_end) const {
-  std::vector<TopK> topks(static_cast<size_t>(num_probes),
-                          TopK(top_n, NeighborLess));
-  for (TopK& topk : topks) {
+    int64_t block_begin, int64_t block_end,
+    std::atomic<double>* bounds) const {
+  // Candidates are (distance, ordinal) pairs until they survive: ordinals
+  // order like their ids within one index, so this is the NeighborLess
+  // order, and the heap churn of a short block range copies no id.
+  struct Candidate {
+    double distance;
+    size_t ordinal;
+  };
+  const auto less = [this](const Candidate& a, const Candidate& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return ids_[a.ordinal] < ids_[b.ordinal];
+  };
+  using CandidateTopK = BoundedTopK<Candidate, decltype(less)>;
+  std::vector<CandidateTopK> topks(static_cast<size_t>(num_probes),
+                                   CandidateTopK(top_n, less));
+  for (CandidateTopK& topk : topks) {
     topk.Reserve((block_end - block_begin) * kSketchBlockWidth);
+  }
+  // A candidate strictly farther than some range's top_n-th distance is
+  // beaten by top_n others, so it cannot be in the merged top_n: dropping
+  // it leaves the result exact, and the scan order or pool only changes
+  // how many candidates are dropped. Every value stored in `bounds` is
+  // such a distance, so a racing store that loosens a bound is harmless.
+  double bound[kScanTileProbes];
+  for (int64_t p = 0; p < num_probes; ++p) {
+    bound[p] = bounds[p].load(std::memory_order_relaxed);
   }
   ScanBlocks(probes, num_probes, block_begin, block_end,
              [&](int64_t p, size_t ordinal, double dist) {
-               TopK& topk = topks[static_cast<size_t>(p)];
-               const std::string& id = ids_[ordinal];
-               if (topk.Full()) {
-                 // Reject without copying the id unless the candidate
-                 // NeighborLess-beats the current worst survivor.
-                 const Neighbor& worst = topk.Worst();
-                 if (dist > worst.squared_distance ||
-                     (dist == worst.squared_distance && id >= worst.id)) {
-                   return;
-                 }
-               }
-               topk.Push(Neighbor{id, dist});
+               if (dist > bound[p]) return;
+               topks[static_cast<size_t>(p)].Push(Candidate{dist, ordinal});
              });
-  std::vector<std::vector<Neighbor>> best;
-  best.reserve(topks.size());
-  for (TopK& topk : topks) best.push_back(topk.TakeSorted());
+  std::vector<std::vector<Neighbor>> best(topks.size());
+  for (size_t p = 0; p < topks.size(); ++p) {
+    if (topks[p].Full() && topks[p].Worst().distance <
+                               bounds[p].load(std::memory_order_relaxed)) {
+      bounds[p].store(topks[p].Worst().distance, std::memory_order_relaxed);
+    }
+    for (const Candidate& c : topks[p].TakeSorted()) {
+      best[p].push_back(Neighbor{ids_[c.ordinal], c.distance});
+    }
+  }
   return best;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
     const PrivateSketch& query, int64_t top_n, ThreadPool* pool) const {
   DPJL_ASSIGN_OR_RETURN(std::vector<std::vector<Neighbor>> lists,
-                        NearestNeighborsBatch({&query}, top_n, pool));
+                        NearestNeighborsAcross({this}, {&query}, top_n, pool));
   return std::move(lists.front());
 }
 
@@ -229,44 +306,47 @@ Result<std::vector<std::vector<SketchIndex::Neighbor>>>
 SketchIndex::NearestNeighborsBatch(
     const std::vector<const PrivateSketch*>& probes, int64_t top_n,
     ThreadPool* pool) const {
+  return NearestNeighborsAcross({this}, probes, top_n, pool);
+}
+
+Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
+    const PrivateSketch& query, double radius_sq, ThreadPool* pool) const {
+  return RangeQueryAcross({this}, query, radius_sq, pool);
+}
+
+Result<std::vector<std::vector<SketchIndex::Neighbor>>>
+SketchIndex::NearestNeighborsAcross(
+    const std::vector<const SketchIndex*>& segments,
+    const std::vector<const PrivateSketch*>& probes, int64_t top_n,
+    ThreadPool* pool, const CancelToken& cancel) {
   if (top_n < 1) {
     return Status::InvalidArgument("top_n must be >= 1");
   }
-  for (const PrivateSketch* probe : probes) {
-    DPJL_RETURN_IF_ERROR(CheckQueryCompatible(*probe));
-  }
+  DPJL_RETURN_IF_ERROR(CorpusReference(segments, probes).status());
+  const std::vector<ScanUnit> plan = PlanScan(segments);
   const int64_t num_probes = static_cast<int64_t>(probes.size());
-  const int64_t blocks = arena_.blocks();
-  const size_t num_ranges =
-      static_cast<size_t>((blocks + kScanGrainBlocks - 1) / kScanGrainBlocks);
   std::vector<std::vector<Neighbor>> results;
   results.reserve(probes.size());
+  // partial[u][p]: unit u's share of probe p's top_n, ascending.
+  std::vector<std::vector<std::vector<Neighbor>>> partial(plan.size());
   for (int64_t first = 0; first < num_probes; first += kScanTileProbes) {
     const PrivateSketch* const* tile = probes.data() + first;
     const int64_t tile_size =
         std::min<int64_t>(kScanTileProbes, num_probes - first);
-    if (pool == nullptr || blocks <= kScanGrainBlocks) {
-      for (std::vector<Neighbor>& best :
-           ScanTopK(tile, tile_size, top_n, 0, blocks)) {
-        results.push_back(std::move(best));
-      }
-      continue;
+    std::atomic<double> bounds[kScanTileProbes];
+    for (std::atomic<double>& bound : bounds) {
+      bound.store(std::numeric_limits<double>::infinity());
     }
-    // Each fixed-grain block range keeps its own bounded top_n per probe.
-    // A probe's global top_n is contained in the union of its ranges'
-    // lists, and the merge imposes the deterministic (distance, id) total
-    // order, so neither the pool nor the scheduling can show through in
-    // the result.
-    std::vector<std::vector<std::vector<Neighbor>>> partial(num_ranges);
-    ThreadPool::Run(pool, 0, blocks, kScanGrainBlocks,
-                    [&](int64_t begin, int64_t end) {
-                      partial[static_cast<size_t>(begin / kScanGrainBlocks)] =
-                          ScanTopK(tile, tile_size, top_n, begin, end);
-                    });
+    DPJL_RETURN_IF_ERROR(RunPlan(plan, pool, cancel, [&](size_t u) {
+      const ScanUnit& unit = plan[u];
+      partial[u] =
+          unit.segment->ScanTopK(tile, tile_size, top_n, unit.block_begin,
+                                 unit.block_end, bounds);
+    }));
     for (int64_t p = 0; p < tile_size; ++p) {
       TopK merged(top_n, NeighborLess);
-      for (std::vector<std::vector<Neighbor>>& range : partial) {
-        for (Neighbor& neighbor : range[static_cast<size_t>(p)]) {
+      for (std::vector<std::vector<Neighbor>>& lists : partial) {
+        for (Neighbor& neighbor : lists[static_cast<size_t>(p)]) {
           merged.Push(std::move(neighbor));
         }
       }
@@ -276,29 +356,30 @@ SketchIndex::NearestNeighborsBatch(
   return results;
 }
 
-Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
-    const PrivateSketch& query, double radius_sq, ThreadPool* pool) const {
+Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQueryAcross(
+    const std::vector<const SketchIndex*>& segments,
+    const PrivateSketch& query, double radius_sq, ThreadPool* pool,
+    const CancelToken& cancel) {
   if (!(radius_sq >= 0)) {
     return Status::InvalidArgument("radius must be non-negative");
   }
-  DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
-  // Hits per fixed-grain block range, concatenated in range order and then
-  // sorted: with or without a pool the sort sees the same multiset.
+  DPJL_RETURN_IF_ERROR(CorpusReference(segments, {&query}).status());
+  // Hits per unit, concatenated in plan order and then sorted: with or
+  // without a pool the sort sees the same multiset.
+  const std::vector<ScanUnit> plan = PlanScan(segments);
   const PrivateSketch* const probe = &query;
-  const int64_t blocks = arena_.blocks();
-  std::vector<std::vector<Neighbor>> partial(static_cast<size_t>(
-      (blocks + kScanGrainBlocks - 1) / kScanGrainBlocks));
-  ThreadPool::Run(
-      pool, 0, blocks, kScanGrainBlocks, [&](int64_t begin, int64_t end) {
-        std::vector<Neighbor>& hits =
-            partial[static_cast<size_t>(begin / kScanGrainBlocks)];
-        ScanBlocks(&probe, 1, begin, end,
-                   [&](int64_t, size_t ordinal, double dist) {
-                     if (dist <= radius_sq) {
-                       hits.push_back(Neighbor{ids_[ordinal], dist});
-                     }
-                   });
-      });
+  std::vector<std::vector<Neighbor>> partial(plan.size());
+  DPJL_RETURN_IF_ERROR(RunPlan(plan, pool, cancel, [&](size_t u) {
+    const ScanUnit& unit = plan[u];
+    std::vector<Neighbor>& hits = partial[u];
+    unit.segment->ScanBlocks(&probe, 1, unit.block_begin, unit.block_end,
+                             [&](int64_t, size_t ordinal, double dist) {
+                               if (dist <= radius_sq) {
+                                 hits.push_back(Neighbor{
+                                     unit.segment->ids_[ordinal], dist});
+                               }
+                             });
+  }));
   std::vector<Neighbor> hits;
   for (std::vector<Neighbor>& part : partial) {
     hits.insert(hits.end(), std::make_move_iterator(part.begin()),
@@ -323,24 +404,12 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
 
 Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsAcross(
     const std::vector<const SketchIndex*>& segments, ThreadPool* pool) {
-  // Segment s holds corpus positions [offsets[s], offsets[s + 1]). Each
-  // segment is internally compatible (the Add invariant) and compatibility
-  // is five-field equality, so one check per segment against the first
-  // non-empty one decides exactly as a per-pair check would.
+  DPJL_ASSIGN_OR_RETURN(const SketchMetadata* const reference,
+                        CorpusReference(segments));
+  // Segment s holds corpus positions [offsets[s], offsets[s + 1]).
   std::vector<int64_t> offsets{0};
-  const SketchMetadata* reference = nullptr;
   DistanceMatrix matrix;
   for (const SketchIndex* segment : segments) {
-    if (!segment->metadata_.empty()) {
-      const SketchMetadata& first = segment->metadata_.front();
-      if (reference == nullptr) {
-        reference = &first;
-      } else if (!reference->CompatibleWith(first)) {
-        return Status::FailedPrecondition(
-            "sketches come from different projections and cannot be "
-            "compared");
-      }
-    }
     offsets.push_back(offsets.back() + segment->size());
     matrix.ids.insert(matrix.ids.end(), segment->ids_.begin(),
                       segment->ids_.end());

@@ -1,6 +1,7 @@
 #ifndef DPJL_CORE_SKETCH_INDEX_H_
 #define DPJL_CORE_SKETCH_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,8 +31,11 @@ namespace dpjl {
 /// one multi-probe kernel, squared_distance_tile: each pass scores up to
 /// kScanTileProbes probes (a batch tile, an all-pairs row tile, or a lone
 /// query) against eight candidates, so a block streams from memory once
-/// per tile rather than once per probe; with a ThreadPool a scan splits
-/// into fixed-grain block ranges and merges by the deterministic
+/// per tile rather than once per probe. Every query runs one scan plan: a
+/// flat list of (segment, fixed-grain block range) units over all the
+/// segments it reads (a lone index is the one-segment case), scanned
+/// through one ThreadPool::Run per tile — serially on the caller when there
+/// is no pool — and merged once per probe by the deterministic
 /// (distance, id) order. The arena grows incrementally on Add/AddBatch
 /// (every insertion funnels through one append point) and is therefore
 /// rebuilt for free on Deserialize/FromPartitions, which insert through
@@ -91,20 +95,14 @@ class SketchIndex {
   /// distance, ascending (ties broken by id for determinism). `query` may
   /// be a stored sketch or an external compatible one; if it is stored, it
   /// will match itself at (noisy) distance ~0 — callers filter if needed.
-  /// With a non-null `pool`, block ranges of the arena are scanned
-  /// concurrently; the result is identical to the serial scan.
+  /// The one-segment, one-probe case of NearestNeighborsAcross.
   Result<std::vector<Neighbor>> NearestNeighbors(const PrivateSketch& query,
                                                  int64_t top_n,
                                                  ThreadPool* pool = nullptr) const;
 
   /// NearestNeighbors for many probes at once: element i is exactly what
-  /// NearestNeighbors(*probes[i], top_n, pool) returns, byte for byte.
-  /// Probes are scored kScanTileProbes at a time, so one pass over the
-  /// arena serves a whole tile; with a pool each tile's pass splits into
-  /// the same fixed-grain block ranges as a single query. Fails with
-  /// kInvalidArgument when top_n < 1, else with the estimator's
-  /// kFailedPrecondition when any probe is incompatible; an empty batch
-  /// yields an empty list.
+  /// NearestNeighbors(*probes[i], top_n, pool) returns, byte for byte. The
+  /// one-segment case of NearestNeighborsAcross.
   Result<std::vector<std::vector<Neighbor>>> NearestNeighborsBatch(
       const std::vector<const PrivateSketch*>& probes, int64_t top_n,
       ThreadPool* pool = nullptr) const;
@@ -112,9 +110,36 @@ class SketchIndex {
   /// All stored sketches within estimated squared distance `radius_sq` of
   /// `query`, ascending. The noise floor applies: radii below
   /// sqrt(Var[E_hat]) admit false positives/negatives at the boundary.
+  /// The one-segment case of RangeQueryAcross.
   Result<std::vector<Neighbor>> RangeQuery(const PrivateSketch& query,
                                            double radius_sq,
                                            ThreadPool* pool = nullptr) const;
+
+  /// NearestNeighborsBatch over the concatenation of `segments`,
+  /// byte-identical to it on one merged index. Each tile of
+  /// kScanTileProbes probes runs the scan plan — every segment's
+  /// fixed-grain block ranges — through one ThreadPool::Run, each unit
+  /// keeping its own bounded top_n per probe (less any candidate farther
+  /// than a top_n-th distance another unit already found); one bounded
+  /// top-k per probe merges the units' lists. Fails with kInvalidArgument when top_n < 1,
+  /// else with the estimator's kFailedPrecondition when two segments, or
+  /// a probe and the first non-empty segment, are incompatible; an empty
+  /// batch yields an empty list. Every unit polls `cancel` before it
+  /// scans; a raised token fails the call with kCancelled, never a partial
+  /// result.
+  static Result<std::vector<std::vector<Neighbor>>> NearestNeighborsAcross(
+      const std::vector<const SketchIndex*>& segments,
+      const std::vector<const PrivateSketch*>& probes, int64_t top_n,
+      ThreadPool* pool, const CancelToken& cancel = CancelToken());
+
+  /// RangeQuery over the concatenation of `segments`: the scan plan's
+  /// hits, concatenated in unit order and sorted once. Errors and
+  /// cancellation as NearestNeighborsAcross, with kInvalidArgument for a
+  /// negative or NaN radius.
+  static Result<std::vector<Neighbor>> RangeQueryAcross(
+      const std::vector<const SketchIndex*>& segments,
+      const PrivateSketch& query, double radius_sq, ThreadPool* pool,
+      const CancelToken& cancel = CancelToken());
 
   /// Estimated squared distances between every stored pair, in insertion
   /// order: `values[i * n + j]` estimates ||x_i - x_j||^2 for ids()[i],
@@ -215,26 +240,36 @@ class SketchIndex {
   /// metadata.
   PrivateSketch SketchAt(size_t ordinal) const;
 
-  /// FailedPrecondition (the estimator's exact incompatibility message)
-  /// unless `query` is compatible with the stored projection — one check
-  /// per query standing in for the per-entry checks of a per-pair scan.
-  Status CheckQueryCompatible(const PrivateSketch& query) const;
+  /// The metadata of the first non-empty segment, against which every
+  /// other segment and every probe is checked (null when all are empty).
+  /// Each segment is internally compatible (the Add invariant) and
+  /// compatibility is five-field equality, so one check per segment or
+  /// probe decides exactly as per-pair checks would. FailedPrecondition
+  /// (the estimator's exact incompatibility message) when a later
+  /// non-empty segment or any of `probes` is incompatible with it.
+  static Result<const SketchMetadata*> CorpusReference(
+      const std::vector<const SketchIndex*>& segments,
+      const std::vector<const PrivateSketch*>& probes = {});
 
   /// Blocked arena scan of blocks [block_begin, block_end) for a tile of
   /// `num_probes` <= kScanTileProbes probes: calls
   /// `visit(probe, ordinal, estimate)` for every (probe, stored sketch)
-  /// pair in them, each probe's sketches in ordinal order. Requires
-  /// CheckQueryCompatible to have passed for every probe.
+  /// pair in them, each probe's sketches in ordinal order. Requires every
+  /// probe to be compatible with the stored projection.
   template <typename Visit>
   void ScanBlocks(const PrivateSketch* const* probes, int64_t num_probes,
                   int64_t block_begin, int64_t block_end,
                   Visit&& visit) const;
 
-  /// For each probe of the tile, the top_n nearest within blocks
-  /// [block_begin, block_end), ascending.
+  /// For each probe p of the tile, the top_n nearest within blocks
+  /// [block_begin, block_end), ascending — except that a candidate
+  /// farther than bounds[p] may be left out. bounds[p] is an upper bound
+  /// on probe p's top_n-th distance over the whole scan plan; on return it
+  /// is lowered to this range's top_n-th distance when that is smaller.
   [[nodiscard]] std::vector<std::vector<Neighbor>> ScanTopK(
       const PrivateSketch* const* probes, int64_t num_probes, int64_t top_n,
-      int64_t block_begin, int64_t block_end) const;
+      int64_t block_begin, int64_t block_end,
+      std::atomic<double>* bounds) const;
 
   /// Appends an entry assuming the caller already established id
   /// uniqueness and sketch compatibility (Add/AddBatch validation, or a

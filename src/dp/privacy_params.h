@@ -15,7 +15,7 @@ struct PrivacyParams {
   double epsilon = 0.0;
   double delta = 0.0;
 
-  /// Validated constructor: requires epsilon > 0 and delta in [0, 1).
+  /// Validated constructor: requires finite epsilon > 0 and delta in [0, 1).
   static Result<PrivacyParams> Create(double epsilon, double delta);
 
   /// Pure epsilon-DP budget.

@@ -146,7 +146,9 @@ Client* Router::ClientFor(const Endpoint& endpoint) {
 
 template <typename T>
 Result<T> Router::CallGroup(size_t group,
-                            const std::function<Result<T>(Client*)>& call) {
+                            const std::function<Result<T>(Client*)>& call,
+                            std::set<std::string>* dead,
+                            const Endpoint** answered) {
   const std::vector<Endpoint>& replicas = replica_groups_[group];
   const uint64_t start =
       cursors_[group]->fetch_add(1, std::memory_order_relaxed);
@@ -155,11 +157,14 @@ Result<T> Router::CallGroup(size_t group,
   for (size_t r = 0; r < replicas.size(); ++r) {
     const Endpoint& endpoint =
         replicas[(start + r) % replicas.size()];
+    if (dead != nullptr && dead->count(endpoint.ToString()) > 0) continue;
     Result<T> result = call(ClientFor(endpoint));
     if (result.ok() ||
         result.status().code() != StatusCode::kUnavailable) {
+      if (answered != nullptr) *answered = &endpoint;
       return result;
     }
+    if (dead != nullptr) dead->insert(endpoint.ToString());
     last = Status::Unavailable("replica " + endpoint.ToString() + ": " +
                                result.status().message());
   }
@@ -174,40 +179,21 @@ Result<std::vector<T>> Router::FanOut(
   std::vector<T> answers;
   for (size_t group = 0; group < replica_groups_.size(); ++group) {
     if (covered[group] || manifest_.partitions[group].count == 0) continue;
-    const std::vector<Endpoint>& replicas = replica_groups_[group];
-    const uint64_t start =
-        cursors_[group]->fetch_add(1, std::memory_order_relaxed);
-    Status last = Status::Unavailable(
-        "replica group " + std::to_string(group) + " has no replicas");
-    bool served = false;
-    for (size_t r = 0; r < replicas.size() && !served; ++r) {
-      const Endpoint& endpoint = replicas[(start + r) % replicas.size()];
-      if (dead.count(endpoint.ToString()) > 0) continue;
-      Result<T> answer = call(ClientFor(endpoint));
-      if (answer.ok()) {
-        answers.push_back(std::move(*answer));
-        // This endpoint's engine answered over every partition it serves:
-        // mark all groups listing it as covered, so none of them is asked
-        // again (duplicate coverage is merged away, but skipping the call
-        // is both faster and the exact-cover common case).
-        for (size_t other = 0; other < replica_groups_.size(); ++other) {
-          for (const Endpoint& peer : replica_groups_[other]) {
-            if (peer.host == endpoint.host && peer.port == endpoint.port) {
-              covered[other] = true;
-              break;
-            }
-          }
+    const Endpoint* endpoint = nullptr;
+    DPJL_ASSIGN_OR_RETURN(T answer, CallGroup(group, call, &dead, &endpoint));
+    answers.push_back(std::move(answer));
+    // This endpoint's engine answered over every partition it serves: mark
+    // all groups listing it as covered, so none of them is asked again
+    // (duplicate coverage is merged away, but skipping the call is both
+    // faster and the exact-cover common case).
+    for (size_t other = 0; other < replica_groups_.size(); ++other) {
+      for (const Endpoint& peer : replica_groups_[other]) {
+        if (peer.host == endpoint->host && peer.port == endpoint->port) {
+          covered[other] = true;
+          break;
         }
-        served = true;
-      } else if (answer.status().code() == StatusCode::kUnavailable) {
-        dead.insert(endpoint.ToString());
-        last = Status::Unavailable("replica " + endpoint.ToString() + ": " +
-                                   answer.status().message());
-      } else {
-        return answer.status();
       }
     }
-    if (!served) return last;
   }
   return answers;
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,15 +117,21 @@ class Router {
 
   /// Runs `call` against one replica of group `group`, rotating
   /// round-robin and failing over past kUnavailable replicas; any other
-  /// status returns as-is. (Defined in router.cc; instantiated there only.)
+  /// status returns as-is. With `dead`, replicas listed in it are skipped
+  /// and each one that answers kUnavailable is added to it; `answered`, if
+  /// given, receives the endpoint whose result (OK or not) is returned.
+  /// (Defined in router.cc; instantiated there only.)
   template <typename T>
   Result<T> CallGroup(size_t group,
-                      const std::function<Result<T>(Client*)>& call);
+                      const std::function<Result<T>(Client*)>& call,
+                      std::set<std::string>* dead = nullptr,
+                      const Endpoint** answered = nullptr);
 
-  /// Fans `call` out to an exact cover of the non-empty groups — one call
-  /// per distinct endpoint (an endpoint covering several groups is called
-  /// once), with per-group failover — and returns the per-endpoint
-  /// answers. kUnavailable when some needed group has no live replica.
+  /// Fans `call` out to an exact cover of the non-empty groups — one
+  /// CallGroup per distinct endpoint (an endpoint covering several groups
+  /// is called once; an endpoint found dead is not retried for a later
+  /// group) — and returns the per-endpoint answers. kUnavailable when some
+  /// needed group has no live replica.
   template <typename T>
   Result<std::vector<T>> FanOut(const std::function<Result<T>(Client*)>& call);
 

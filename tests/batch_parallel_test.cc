@@ -137,7 +137,7 @@ TEST(BatchSketcherTest, DenseBatchBitIdenticalToSerialLoop) {
 
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
-    const BatchSketcher batch(&sketcher, &pool, /*grain=*/4);
+    const BatchSketcher batch(&sketcher, &pool);
     const auto out = batch.BatchSketch(xs, base);
     ASSERT_TRUE(out.ok()) << out.status();
     ASSERT_EQ(out->size(), serial.size());

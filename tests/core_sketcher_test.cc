@@ -35,6 +35,16 @@ TEST(SketcherTest, CreateRejectsBadPrivacyBudget) {
   EXPECT_FALSE(PrivateSketcher::Create(64, c).ok());
 }
 
+TEST(SketcherTest, CreateRefusesAnInfiniteEpsilon) {
+  // A zero noise scale Delta/epsilon must be refused here, not reach the
+  // noise distribution's positive-scale check.
+  SketcherConfig c = Base();
+  c.epsilon = INFINITY;
+  const auto sketcher = PrivateSketcher::Create(64, c);
+  ASSERT_FALSE(sketcher.ok());
+  EXPECT_EQ(sketcher.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SketcherTest, NonPrivateIgnoresBudget) {
   SketcherConfig c = Base();
   c.noise_selection = SketcherConfig::NoiseSelection::kNone;

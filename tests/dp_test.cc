@@ -29,6 +29,17 @@ TEST(PrivacyParamsTest, ValidatesDomain) {
   EXPECT_FALSE(PrivacyParams::Create(1.0, -0.1).ok());
 }
 
+TEST(PrivacyParamsTest, RefusesANonFiniteEpsilon) {
+  // An infinite epsilon would make every noise scale Delta/epsilon zero.
+  for (const double epsilon : {INFINITY, NAN}) {
+    const auto params = PrivacyParams::Create(epsilon, 0.0);
+    ASSERT_FALSE(params.ok()) << epsilon;
+    EXPECT_EQ(params.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(PrivacyParams::Create(INFINITY, 1e-6).ok());
+  EXPECT_FALSE(PrivacyParams::Pure(INFINITY).ok());
+}
+
 TEST(PrivacyParamsTest, PureFlagAndToString) {
   const PrivacyParams pure = PrivacyParams::Pure(0.5).value();
   EXPECT_TRUE(pure.pure());

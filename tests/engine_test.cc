@@ -497,7 +497,7 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
       {"threads", "0"},          {"serving-threads", "3"},
       {"queue-capacity", "17"},  {"tenant-quota", "9"},
       {"tenant-rate", "50"},     {"deadline-ms", "250"},
-      {"batch-grain", "24"},     {"input", "tool-flag.csv"}};
+      {"starvation-age-ms", "30"}, {"input", "tool-flag.csv"}};
   const auto options = EngineOptions::Parse(flags, /*passthrough=*/{"input"});
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_DOUBLE_EQ(options->sketcher.epsilon, 4.5);
@@ -512,7 +512,7 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
   EXPECT_EQ(options->tenant_quota, 9);
   EXPECT_EQ(options->tenant_rate, 50);
   EXPECT_EQ(options->default_deadline_ms, 250);
-  EXPECT_EQ(options->batch_grain, 24);
+  EXPECT_EQ(options->starvation_age_ms, 30);
 }
 
 TEST(EngineOptionsTest, ParseRejectsUnknownKeysUnlessPassedThrough) {
@@ -553,6 +553,7 @@ TEST(EngineOptionsTest, ParseRejectsMalformedOrOutOfDomainValues) {
       {{"deadline-ms", "-5"}},
       {{"transform", "bogus"}},    {{"seed", "-3"}},
       {{"k-override", "-1"}},      {{"noise", "cauchy"}},
+      // --batch-grain is no longer a flag: refused as an unknown key.
       {{"placement", "sideways"}}, {{"batch-grain", "-1"}},
       {{"batch-grain", "1048577"}}, {{"batch-grain", "coarse"}}};
   for (const auto& flags : bad) {
@@ -566,12 +567,15 @@ TEST(EngineOptionsTest, ParseRejectsMalformedOrOutOfDomainValues) {
 }
 
 TEST(EngineOptionsTest, ParseTakesOnlyACompleteUnsignedDecimalToken) {
-  // Leading whitespace, a '+' sign and a negative seed are not complete
-  // decimal tokens; each is refused with the flag's own message.
+  // Leading whitespace, a '+' sign, a negative seed, a hex float and a
+  // non-finite value are not complete decimal tokens; each is refused with
+  // the flag's own message.
   const std::vector<std::pair<std::string, std::string>> bad = {
-      {"threads", " 12"}, {"threads", "+7"},  {"threads", "12 "},
-      {"seed", " -5"},    {"seed", "-5"},     {"seed", "+5"},
-      {"seed", " 5"},     {"seed", "18446744073709551616"}};
+      {"threads", " 12"},   {"threads", "+7"},     {"threads", "12 "},
+      {"seed", " -5"},      {"seed", "-5"},        {"seed", "+5"},
+      {"seed", " 5"},       {"seed", "18446744073709551616"},
+      {"epsilon", " 1.5"},  {"epsilon", "+1.5"},   {"epsilon", "0x1p3"},
+      {"epsilon", "inf"},   {"epsilon", "nan"}};
   for (const auto& [key, raw] : bad) {
     const auto options = EngineOptions::Parse({{key, raw}});
     ASSERT_FALSE(options.ok()) << key << "='" << raw << "'";
@@ -580,11 +584,12 @@ TEST(EngineOptionsTest, ParseTakesOnlyACompleteUnsignedDecimalToken) {
               std::string::npos)
         << options.status();
   }
-  const auto options =
-      EngineOptions::Parse({{"threads", "12"}, {"seed", "18446744073709551615"}});
+  const auto options = EngineOptions::Parse(
+      {{"threads", "12"}, {"seed", "18446744073709551615"}, {"epsilon", "1.5"}});
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_EQ(options->threads, 12);
   EXPECT_EQ(options->sketcher.projection_seed, 18446744073709551615ULL);
+  EXPECT_EQ(options->sketcher.epsilon, 1.5);
 }
 
 TEST(EngineOptionsTest, ToStringParseRoundTrip) {
@@ -608,7 +613,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   options.tenant_rate = 6;
   options.default_deadline_ms = 1500;
   options.starvation_age_ms = 250;
-  options.batch_grain = 40;
 
   // Re-read the canonical "--key=value ..." rendering through a flag map.
   std::map<std::string, std::string> flags;
@@ -639,7 +643,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   EXPECT_EQ(parsed->tenant_rate, options.tenant_rate);
   EXPECT_EQ(parsed->default_deadline_ms, options.default_deadline_ms);
   EXPECT_EQ(parsed->starvation_age_ms, options.starvation_age_ms);
-  EXPECT_EQ(parsed->batch_grain, options.batch_grain);
 }
 
 // ---------------------------------------------------------------------------
@@ -1170,13 +1173,17 @@ TEST(EngineTest, SubmitQueryBatchByteIdenticalToIndividualSubmits) {
       ASSERT_TRUE(individual.ok()) << individual.status();
       ExpectSameNeighbors((*batched)[i], *individual);
     }
-    // Edge cases ride the same path: empty batch, invalid top_n.
+    // Edge cases ride the same path: empty batch, invalid top_n. top_n is
+    // validated first, so an empty batch with top_n < 1 is refused too.
     const auto empty = engine->SubmitQueryBatch({}, 7).Get();
     ASSERT_TRUE(empty.ok()) << empty.status();
     EXPECT_TRUE(empty->empty());
     const auto invalid = engine->SubmitQueryBatch(queries, 0).Get();
     ASSERT_FALSE(invalid.ok());
     EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
+    const auto empty_invalid = engine->SubmitQueryBatch({}, 0).Get();
+    ASSERT_FALSE(empty_invalid.ok());
+    EXPECT_EQ(empty_invalid.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -1221,7 +1228,7 @@ TEST(EngineTest, SubmitQueryBatchFailsWithTheLowestIndexFailingProbesStatus) {
 
 TEST(EngineTest, CancelRacingAnInFlightBatchNeverReturnsAPartialResult) {
   // A 64-probe batch is eight tiles, with a cancellation point before each
-  // (tile, segment) step. Cancelling it at varying moments resolves to
+  // scan unit of each tile. Cancelling it at varying moments resolves to
   // either the complete correct answer or kCancelled — never a result
   // with some probes answered and the rest missing.
   const DirectReference ref = MakeReference(101);

@@ -585,28 +585,23 @@ TEST(BatchBitExactnessTest, ApplyBlockMatchesApplyPerItem) {
 // ---------------------------------------------------------------------------
 // ResolveGrain (satellite bugfix: no more silent one-item tasks).
 
-TEST(ResolveGrainTest, ExplicitRequestWins) {
-  EXPECT_EQ(BatchSketcher::ResolveGrain(1000, 4, 17), 17);
-  EXPECT_EQ(BatchSketcher::ResolveGrain(1000, 4, 1), 1);
-}
-
 TEST(ResolveGrainTest, AutoIsMicroBlockAlignedAndBounded) {
   // Large batch, 4 threads: ~16 chunks, each a multiple of the micro-block.
-  const int64_t grain = BatchSketcher::ResolveGrain(1024, 4, 0);
+  const int64_t grain = BatchSketcher::ResolveGrain(1024, 4);
   EXPECT_EQ(grain % kSketchBlockWidth, 0);
   EXPECT_GE(grain, kSketchBlockWidth);
   EXPECT_LE(grain, 1024);
   // Small batches never drop below one micro-block, and degenerate inputs
   // are safe.
-  EXPECT_EQ(BatchSketcher::ResolveGrain(3, 8, 0), kSketchBlockWidth);
-  EXPECT_EQ(BatchSketcher::ResolveGrain(0, 4, 0), kSketchBlockWidth);
-  EXPECT_EQ(BatchSketcher::ResolveGrain(100, 0, 0),
-            BatchSketcher::ResolveGrain(100, 1, 0));
+  EXPECT_EQ(BatchSketcher::ResolveGrain(3, 8), kSketchBlockWidth);
+  EXPECT_EQ(BatchSketcher::ResolveGrain(0, 4), kSketchBlockWidth);
+  EXPECT_EQ(BatchSketcher::ResolveGrain(100, 0),
+            BatchSketcher::ResolveGrain(100, 1));
 }
 
 TEST(ResolveGrainTest, ScalesInverselyWithThreads) {
-  const int64_t g1 = BatchSketcher::ResolveGrain(4096, 1, 0);
-  const int64_t g8 = BatchSketcher::ResolveGrain(4096, 8, 0);
+  const int64_t g1 = BatchSketcher::ResolveGrain(4096, 1);
+  const int64_t g8 = BatchSketcher::ResolveGrain(4096, 8);
   EXPECT_GT(g1, g8);
 }
 

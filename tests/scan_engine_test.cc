@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -84,6 +86,10 @@ bool MatrixBytesEqual(const SketchIndex::DistanceMatrix& a,
                       a.values.size() * sizeof(double)) == 0);
 }
 
+std::string PoolName(const ThreadPool* pool) {
+  return pool == nullptr ? "none" : std::to_string(pool->num_threads());
+}
+
 // ---------------------------------------------------------------------------
 // The pre-arena per-entry scalar path, replicated verbatim as the reference:
 // one per-pair estimator call per stored sketch, deterministic sort.
@@ -145,7 +151,7 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
   // Batch sizes on both sides of the kScanTileProbes = 8 tile boundary.
   const int64_t kBatchSizes[] = {1, 7, 8, 9, 17};
   ThreadPool pool1(1), pool2(2), pool7(7);
-  ThreadPool* const pools[] = {&pool1, &pool2, &pool7};
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool7};
 
   for (const int64_t k : kDims) {
     const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
@@ -204,7 +210,7 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
         for (ThreadPool* pool : pools) {
           SCOPED_TRACE(std::string("k=") + std::to_string(k) +
                        " n=" + std::to_string(n) + " table=" + table->name +
-                       " threads=" + std::to_string(pool->num_threads()));
+                       " pool=" + PoolName(pool));
           for (const int64_t top_n : kTopNs) {
             const auto got = index.NearestNeighbors(query, top_n, pool);
             ASSERT_TRUE(got.ok()) << got.status();
@@ -309,35 +315,106 @@ TEST(ScanEngineTest, SegmentedAllPairsMatchesMergedIndexAcrossSeams) {
   const int64_t k = 13;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
   Rng rng(DeriveSeed(kTestSeed, 99));
-  // An owned index of 5, then partitions of 1, 7, 9 and 16: the segment
-  // seams (5, 6, 13, 22) all fall mid-block.
+  // An owned index of 5, then partitions of 1, 7, 9, 16 and 150: the
+  // segment seams (5, 6, 13, 22, 38) all fall mid-block, and the last
+  // partition spans more than one 16-block scan unit, so its scan splits.
   const int64_t kOwned = 5;
-  const int64_t kPartitionSizes[] = {1, 7, 9, 16};
+  const int64_t kPartitionSizes[] = {1, 7, 9, 16, 150};
+  const int64_t kTotal = 188;
   std::vector<std::pair<std::string, PrivateSketch>> corpus;
-  for (int64_t i = 0; i < 38; ++i) {
-    corpus.emplace_back("seg-" + std::to_string((i * 17) % 38),
+  for (int64_t i = 0; i < kTotal; ++i) {
+    corpus.emplace_back("seg-" + std::to_string((i * 17) % kTotal),
                         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
                                         static_cast<uint64_t>(1 + i)));
   }
+  // Position 178 ("seg-18", in the 150-partition's second unit) repeats
+  // position 2 ("seg-34", owned): probe 0 is that sketch, so both copies
+  // tie as its nearest and the later-scanned, smaller id must win top 1.
+  corpus[178].second = corpus[2].second;
   SketchIndex merged;
   ASSERT_TRUE(merged.AddBatch(corpus).ok());
   const SketchIndex::DistanceMatrix reference = ReferenceAllPairs(merged);
 
+  // The same corpus as free-standing segments, for the *Across calls.
+  std::vector<SketchIndex> parts(1 + std::size(kPartitionSizes));
+  ASSERT_TRUE(parts[0].AddBatch({corpus.begin(), corpus.begin() + kOwned}).ok());
+  auto next = corpus.begin() + kOwned;
+  for (size_t p = 0; p < std::size(kPartitionSizes); ++p) {
+    ASSERT_TRUE(parts[p + 1].AddBatch({next, next + kPartitionSizes[p]}).ok());
+    next += kPartitionSizes[p];
+  }
+  std::vector<const SketchIndex*> segments;
+  for (const SketchIndex& part : parts) segments.push_back(&part);
+
+  // Probes 0..16, probe 4 repeating probe 2; per-entry references.
+  std::vector<PrivateSketch> probes;
+  std::vector<std::vector<SketchIndex::Neighbor>> ref_scans;
+  for (int64_t i = 0; i < 17; ++i) {
+    probes.push_back(i == 0   ? corpus[2].second
+                     : i == 4 ? probes[2]
+                              : sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                                static_cast<uint64_t>(5000 + i)));
+    ref_scans.push_back(ReferenceScan(merged, probes.back()));
+  }
+  ASSERT_EQ(ref_scans[0][0].id, "seg-18");
+  ASSERT_EQ(ref_scans[0][1].id, "seg-34");
+  const double radius =
+      std::max(0.0, ref_scans[0][kTotal / 2].squared_distance);
+  const int64_t kTopNs[] = {1, 3, kTotal + 7};
+  const int64_t kBatchSizes[] = {1, 8, 17};
+  ThreadPool pool1(1), pool2(2), pool7(7);
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool7};
+
+  for (const KernelOps* table : AllTables()) {
+    KernelOverride pin(table);
+    for (ThreadPool* pool : pools) {
+      SCOPED_TRACE(std::string("table=") + table->name +
+                   " pool=" + PoolName(pool));
+      const auto matrix = SketchIndex::AllPairsAcross(segments, pool);
+      ASSERT_TRUE(matrix.ok()) << matrix.status();
+      EXPECT_TRUE(MatrixBytesEqual(*matrix, reference));
+      for (const int64_t top_n : kTopNs) {
+        const auto nn =
+            SketchIndex::NearestNeighborsAcross(segments, {&probes[0]}, top_n,
+                                                pool);
+        ASSERT_TRUE(nn.ok()) << nn.status();
+        ASSERT_EQ(nn->size(), 1u);
+        EXPECT_EQ(NeighborBytes(nn->front()),
+                  NeighborBytes(ReferenceNearest(ref_scans[0], top_n)))
+            << "top_n=" << top_n;
+        for (const int64_t batch : kBatchSizes) {
+          std::vector<const PrivateSketch*> tile;
+          for (int64_t i = 0; i < batch; ++i) {
+            tile.push_back(&probes[static_cast<size_t>(i)]);
+          }
+          const auto lists =
+              SketchIndex::NearestNeighborsAcross(segments, tile, top_n, pool);
+          ASSERT_TRUE(lists.ok()) << lists.status();
+          ASSERT_EQ(static_cast<int64_t>(lists->size()), batch);
+          for (size_t i = 0; i < lists->size(); ++i) {
+            EXPECT_EQ(NeighborBytes((*lists)[i]),
+                      NeighborBytes(ReferenceNearest(ref_scans[i], top_n)))
+                << "batch=" << batch << " top_n=" << top_n << " probe=" << i;
+          }
+        }
+      }
+      const auto hits =
+          SketchIndex::RangeQueryAcross(segments, probes[0], radius, pool);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      EXPECT_EQ(NeighborBytes(*hits),
+                NeighborBytes(ReferenceRange(ref_scans[0], radius)));
+    }
+  }
+
+  // The engine serves the same segments through the same plan.
   for (const int threads : {1, 2, 7}) {
     EngineOptions options;
     options.sketcher = Config(k);
     options.threads = threads;
     options.serving_threads = 1;
-    SketchIndex owned;
-    ASSERT_TRUE(
-        owned.AddBatch({corpus.begin(), corpus.begin() + kOwned}).ok());
-    auto engine = Engine::FromIndex(std::move(owned), options).value();
-    auto next = corpus.begin() + kOwned;
-    for (const int64_t size : kPartitionSizes) {
-      SketchIndex partition;
-      ASSERT_TRUE(partition.AddBatch({next, next + size}).ok());
-      ASSERT_TRUE(engine->AttachPartition(std::move(partition)).ok());
-      next += size;
+    auto engine = Engine::FromIndex(parts[0], options).value();
+    for (size_t p = 1; p < parts.size(); ++p) {
+      ASSERT_TRUE(engine->AttachPartition(parts[p]).ok());
     }
     ASSERT_EQ(engine->ids(), merged.ids());
     for (const KernelOps* table : AllTables()) {
@@ -349,6 +426,68 @@ TEST(ScanEngineTest, SegmentedAllPairsMatchesMergedIndexAcrossSeams) {
       EXPECT_TRUE(
           MatrixBytesEqual(*matrix, merged.AllPairsDistances().value()));
       EXPECT_TRUE(MatrixBytesEqual(*matrix, reference));
+      for (const int64_t top_n : kTopNs) {
+        EXPECT_EQ(NeighborBytes(engine->NearestNeighbors(probes[0], top_n).value()),
+                  NeighborBytes(ReferenceNearest(ref_scans[0], top_n)));
+        const auto batch = engine->SubmitQueryBatch(probes, top_n).Get();
+        ASSERT_TRUE(batch.ok()) << batch.status();
+        for (size_t i = 0; i < probes.size(); ++i) {
+          EXPECT_EQ(NeighborBytes((*batch)[i]),
+                    NeighborBytes(ReferenceNearest(ref_scans[i], top_n)));
+        }
+      }
+      EXPECT_EQ(NeighborBytes(engine->RangeQuery(probes[0], radius).value()),
+                NeighborBytes(ReferenceRange(ref_scans[0], radius)));
+    }
+  }
+}
+
+TEST(ScanEngineTest, PreRaisedCancelTokenFailsEveryScanWithCancelled) {
+  const int64_t d = 24;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(13));
+  Rng rng(DeriveSeed(kTestSeed, 123));
+  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  for (int64_t i = 0; i < 200; ++i) {
+    corpus.emplace_back("c-" + std::to_string(i),
+                        sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                        static_cast<uint64_t>(1 + i)));
+  }
+  const PrivateSketch probe =
+      sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 9999);
+  SketchIndex whole;
+  ASSERT_TRUE(whole.AddBatch(corpus).ok());
+  // Four segments of 50: the cancel must reach every layout.
+  std::vector<SketchIndex> quarters(4);
+  for (size_t q = 0; q < quarters.size(); ++q) {
+    ASSERT_TRUE(quarters[q]
+                    .AddBatch({corpus.begin() + 50 * q,
+                               corpus.begin() + 50 * (q + 1)})
+                    .ok());
+  }
+  const std::vector<const SketchIndex*> one = {&whole};
+  const std::vector<const SketchIndex*> four = {&quarters[0], &quarters[1],
+                                                &quarters[2], &quarters[3]};
+  std::atomic<bool> raised{true};
+  const CancelToken cancel(&raised);
+  ThreadPool pool2(2);
+  for (const std::vector<const SketchIndex*>* segments : {&one, &four}) {
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2}) {
+      SCOPED_TRACE("segments=" + std::to_string(segments->size()) +
+                   " pool=" + PoolName(pool));
+      EXPECT_EQ(SketchIndex::NearestNeighborsAcross(*segments, {&probe, &probe},
+                                                    5, pool, cancel)
+                    .status()
+                    .code(),
+                StatusCode::kCancelled);
+      EXPECT_EQ(SketchIndex::RangeQueryAcross(*segments, probe, 1e12, pool,
+                                              cancel)
+                    .status()
+                    .code(),
+                StatusCode::kCancelled);
+      // A token that is not raised leaves the same calls answering.
+      EXPECT_TRUE(SketchIndex::NearestNeighborsAcross(*segments, {&probe}, 5,
+                                                      pool, CancelToken())
+                      .ok());
     }
   }
 }
