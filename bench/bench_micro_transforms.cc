@@ -74,7 +74,7 @@ BENCHMARK_CAPTURE(BM_AccumulateColumn, sjlt_block, TransformKind::kSjltBlock);
 BENCHMARK_CAPTURE(BM_AccumulateColumn, sjlt_graph, TransformKind::kSjltGraph);
 
 // --- Kernel-level benchmarks (the dispatch table Kernels() resolved at
-// startup; run with DPJL_FORCE_SCALAR=1 for the scalar baseline). The
+// startup; run with DPJL_KERNELS=scalar for the scalar baseline). The
 // counters label reports which table the process is using.
 
 void BM_Fwht(benchmark::State& state) {

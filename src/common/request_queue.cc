@@ -8,23 +8,11 @@
 namespace dpjl {
 
 std::string_view PriorityName(Priority priority) {
-  switch (priority) {
-    case Priority::kInteractive:
-      return "interactive";
-    case Priority::kBatch:
-      return "batch";
-    case Priority::kBestEffort:
-      return "best-effort";
-  }
-  return "interactive";
+  return NameOf(kPriorityNames, priority);
 }
 
 Result<Priority> ParsePriority(const std::string& raw) {
-  if (raw == "interactive") return Priority::kInteractive;
-  if (raw == "batch") return Priority::kBatch;
-  if (raw == "best-effort") return Priority::kBestEffort;
-  return Status::InvalidArgument("unknown priority '" + raw +
-                                 "' (expected interactive|batch|best-effort)");
+  return ParseEnumFlag("priority", kPriorityNames, raw);
 }
 
 RequestQueue::RequestQueue(int64_t capacity, int64_t tenant_quota,

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "src/common/annotated_mutex.h"
+#include "src/common/enum_names.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 
@@ -28,6 +29,13 @@ enum class Priority : int {
 
 /// Number of priority lanes (the Priority enum is dense over [0, this)).
 inline constexpr int kNumPriorityLanes = 3;
+
+/// The `--priority` spelling of each lane.
+inline constexpr EnumName<Priority> kPriorityNames[] = {
+    {Priority::kInteractive, "interactive"},
+    {Priority::kBatch, "batch"},
+    {Priority::kBestEffort, "best-effort"},
+};
 
 /// Canonical lowercase name ("interactive" / "batch" / "best-effort").
 std::string_view PriorityName(Priority priority);

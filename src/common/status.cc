@@ -2,48 +2,32 @@
 
 #include <iostream>
 
+#include "src/common/enum_names.h"
 #include "src/common/result.h"
 
 namespace dpjl {
 
+constexpr EnumName<StatusCode> kStatusCodeNames[] = {
+    {StatusCode::kOk, "ok"},
+    {StatusCode::kInvalidArgument, "invalid_argument"},
+    {StatusCode::kOutOfRange, "out_of_range"},
+    {StatusCode::kFailedPrecondition, "failed_precondition"},
+    {StatusCode::kInternal, "internal"},
+    {StatusCode::kNotFound, "not_found"},
+    {StatusCode::kUnimplemented, "unimplemented"},
+    {StatusCode::kDataLoss, "data_loss"},
+    {StatusCode::kDeadlineExceeded, "deadline_exceeded"},
+    {StatusCode::kResourceExhausted, "resource_exhausted"},
+    {StatusCode::kCancelled, "cancelled"},
+    {StatusCode::kUnavailable, "unavailable"},
+};
+
 std::string_view StatusCodeToString(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "ok";
-    case StatusCode::kInvalidArgument:
-      return "invalid_argument";
-    case StatusCode::kOutOfRange:
-      return "out_of_range";
-    case StatusCode::kFailedPrecondition:
-      return "failed_precondition";
-    case StatusCode::kInternal:
-      return "internal";
-    case StatusCode::kNotFound:
-      return "not_found";
-    case StatusCode::kUnimplemented:
-      return "unimplemented";
-    case StatusCode::kDataLoss:
-      return "data_loss";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case StatusCode::kResourceExhausted:
-      return "resource_exhausted";
-    case StatusCode::kCancelled:
-      return "cancelled";
-    case StatusCode::kUnavailable:
-      return "unavailable";
-  }
-  return "unknown";
+  return NameOf(kStatusCodeNames, code);
 }
 
 Result<StatusCode> ParseStatusCode(std::string_view name) {
-  // The inverse of StatusCodeToString over the full enum; iterating the
-  // dense value range keeps the two in lockstep without a second table.
-  for (int value = 0; value <= static_cast<int>(StatusCode::kUnavailable);
-       ++value) {
-    const StatusCode code = static_cast<StatusCode>(value);
-    if (StatusCodeToString(code) == name) return code;
-  }
+  if (const StatusCode* code = FindValue(kStatusCodeNames, name)) return *code;
   return Status::InvalidArgument("unknown status code name '" +
                                  std::string(name) + "'");
 }

@@ -77,8 +77,7 @@ Result<std::vector<PrivateSketch>> BatchSketcher::BatchSketchSparse(
 }
 
 Result<std::vector<PrivateSketch>> BatchFinalize(
-    const std::vector<const StreamingSketcher*>& streams, ThreadPool* pool,
-    int64_t grain) {
+    const std::vector<const StreamingSketcher*>& streams, ThreadPool* pool) {
   const int64_t n = static_cast<int64_t>(streams.size());
   for (int64_t i = 0; i < n; ++i) {
     if (streams[static_cast<size_t>(i)] == nullptr) {
@@ -86,6 +85,8 @@ Result<std::vector<PrivateSketch>> BatchFinalize(
                                      " is null");
     }
   }
+  const int64_t grain = BatchSketcher::ResolveGrain(
+      n, pool != nullptr ? pool->num_threads() : 1);
   std::vector<PrivateSketch> out(static_cast<size_t>(n));
   ThreadPool::Run(pool, 0, n, grain, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {

@@ -72,10 +72,11 @@ class BatchSketcher {
 /// Parallel release of a batch of streaming accumulators: out[i] ==
 /// streams[i]->Finalize(). Each StreamingSketcher carries its own noise
 /// seed fixed at creation, so this is deterministic for any pool size.
-/// `pool` may be null (serial). Null stream pointers are rejected.
+/// `pool` may be null (serial); chunks are sized by
+/// BatchSketcher::ResolveGrain. Null stream pointers are rejected.
 Result<std::vector<PrivateSketch>> BatchFinalize(
     const std::vector<const StreamingSketcher*>& streams,
-    ThreadPool* pool = nullptr, int64_t grain = 1);
+    ThreadPool* pool = nullptr);
 
 }  // namespace dpjl
 

@@ -4,13 +4,14 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "src/common/check.h"
+#include "src/common/enum_names.h"
 #include "src/core/estimators.h"
 #include "src/jl/make_transform.h"
-#include "src/linalg/kernels.h"
 
 namespace dpjl {
 
@@ -61,51 +62,97 @@ Result<uint64_t> ParseSeedFlag(const std::string& key, const std::string& raw) {
 
 namespace {
 
-Result<SketcherConfig::NoiseSelection> ParseNoiseFlag(const std::string& raw) {
-  if (raw == "auto") return SketcherConfig::NoiseSelection::kAuto;
-  if (raw == "laplace") return SketcherConfig::NoiseSelection::kLaplace;
-  if (raw == "gaussian") return SketcherConfig::NoiseSelection::kGaussian;
-  if (raw == "none") return SketcherConfig::NoiseSelection::kNone;
-  return Status::InvalidArgument("unknown noise selection '" + raw +
-                                 "' (expected auto|laplace|gaussian|none)");
+using Config = SketcherConfig;
+using Options = EngineOptions;
+
+/// One engine flag: its name, the field it reads and writes, its help hint.
+/// The field's type is the flag's kind: an int or int64_t takes an integer
+/// in [min, max], a double a finite number, a uint64_t a seed, an enum one
+/// of the names in its EnumName list.
+struct EngineFlag {
+  const char* name;
+  std::variant<double Config::*, uint64_t Config::*, int64_t Config::*,
+               TransformKind Config::*, Config::NoiseSelection Config::*,
+               NoisePlacement Config::*, int Options::*, int64_t Options::*>
+      field;
+  const char* hint;
+  int64_t min = 0;
+  int64_t max = 0;
+};
+
+constexpr int64_t kMaxDim = int64_t{1} << 30;
+constexpr int64_t kMaxRequests = int64_t{1} << 20;
+// Half of INT64_MAX, so a deadline added to a clock reading never overflows.
+constexpr int64_t kMaxMs = std::numeric_limits<int64_t>::max() / 2;
+
+/// Every engine flag, in ToString order.
+constexpr EngineFlag kEngineFlags[] = {
+    {"transform", &Config::transform, "projection family"},
+    {"alpha", &Config::alpha, "JL distortion, in (0, 1/2)"},
+    {"beta", &Config::beta, "JL failure probability, in (0, 1/2)"},
+    {"k-override", &Config::k_override, "0 = k from alpha, beta", 0, kMaxDim},
+    {"s-override", &Config::s_override, "0 = s from alpha, beta", 0, kMaxDim},
+    {"epsilon", &Config::epsilon, "privacy budget of each sketch"},
+    {"delta", &Config::delta, "0 = pure DP"},
+    {"noise", &Config::noise_selection, "auto = the smaller variance"},
+    {"placement", &Config::placement, "where the noise is added"},
+    {"seed", &Config::projection_seed, "public projection seed"},
+    {"threads", &Options::threads, "0 = all hardware cores", 0, 4096},
+    {"serving-threads", &Options::serving_threads,
+     "threads serving queued requests", 1, 256},
+    {"queue-capacity", &Options::queue_capacity,
+     "queued requests before refusal", 1, kMaxRequests},
+    {"tenant-quota", &Options::tenant_quota,
+     "in-flight requests per tenant, 0 = unlimited", 0, kMaxRequests},
+    {"tenant-rate", &Options::tenant_rate,
+     "admitted requests/s per tenant, 0 = unmetered", 0, kMaxRequests},
+    {"deadline-ms", &Options::default_deadline_ms,
+     "default request deadline, 0 = none", 0, kMaxMs},
+    {"starvation-age-ms", &Options::starvation_age_ms,
+     "age that promotes a queued request, 0 = strict priority", 0, kMaxMs},
+};
+
+constexpr EnumName<Config::NoiseSelection> kNoiseSelectionNames[] = {
+    {Config::NoiseSelection::kAuto, "auto"},
+    {Config::NoiseSelection::kLaplace, "laplace"},
+    {Config::NoiseSelection::kGaussian, "gaussian"},
+    {Config::NoiseSelection::kNone, "none"},
+};
+
+/// The name list of each enum an engine flag carries.
+const auto& NamesOf(TransformKind) { return kTransformKindNames; }
+const auto& NamesOf(Config::NoiseSelection) { return kNoiseSelectionNames; }
+const auto& NamesOf(NoisePlacement) { return kPlacementNames; }
+
+template <typename O, typename T>
+auto& FieldOf(O& options, T Config::*field) { return options.sketcher.*field; }
+template <typename O, typename T>
+auto& FieldOf(O& options, T Options::*field) { return options.*field; }
+
+/// visit(field) on `flag`'s field in `options` (const or not).
+template <typename O, typename Visit>
+auto VisitField(const EngineFlag& flag, O&& options, Visit visit) {
+  return std::visit([&](auto field) { return visit(FieldOf(options, field)); },
+                    flag.field);
 }
 
-std::string NoiseFlagName(SketcherConfig::NoiseSelection noise) {
-  switch (noise) {
-    case SketcherConfig::NoiseSelection::kAuto:
-      return "auto";
-    case SketcherConfig::NoiseSelection::kLaplace:
-      return "laplace";
-    case SketcherConfig::NoiseSelection::kGaussian:
-      return "gaussian";
-    case SketcherConfig::NoiseSelection::kNone:
-      return "none";
-  }
-  return "auto";
-}
-
-Result<NoisePlacement> ParsePlacementFlag(const std::string& raw) {
-  if (raw == "output") return NoisePlacement::kOutput;
-  if (raw == "input") return NoisePlacement::kInput;
-  if (raw == "post-hadamard") return NoisePlacement::kPostHadamard;
-  return Status::InvalidArgument("unknown placement '" + raw +
-                                 "' (expected output|input|post-hadamard)");
-}
-
-Result<TransformKind> ParseTransformFlag(const std::string& raw) {
-  // Short CLI aliases plus every TransformKindName() rendering, so
-  // EngineOptions::ToString round-trips for all kinds.
-  if (raw == "sjlt" || raw == "sjlt-block") return TransformKind::kSjltBlock;
-  if (raw == "sjlt-graph") return TransformKind::kSjltGraph;
-  if (raw == "fjlt") return TransformKind::kFjlt;
-  if (raw == "gaussian" || raw == "gaussian-iid") {
-    return TransformKind::kGaussianIid;
-  }
-  if (raw == "achlioptas") return TransformKind::kAchlioptas;
-  if (raw == "sparse-uniform") return TransformKind::kSparseUniform;
-  return Status::InvalidArgument(
-      "unknown transform '" + raw +
-      "' (expected sjlt|sjlt-graph|fjlt|gaussian|achlioptas|sparse-uniform)");
+Status ParseInto(const EngineFlag& flag, const std::string& raw,
+                 EngineOptions* options) {
+  return VisitField(flag, *options, [&](auto& field) -> Status {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, double>) {
+      DPJL_ASSIGN_OR_RETURN(field, ParseDoubleFlag(flag.name, raw));
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      DPJL_ASSIGN_OR_RETURN(field, ParseSeedFlag(flag.name, raw));
+    } else if constexpr (std::is_enum_v<T>) {
+      DPJL_ASSIGN_OR_RETURN(field, ParseEnumFlag(flag.name, NamesOf(T{}), raw));
+    } else {
+      DPJL_ASSIGN_OR_RETURN(const int64_t value,
+                            ParseIntFlag(flag.name, raw, flag.min, flag.max));
+      field = static_cast<T>(value);
+    }
+    return Status::OK();
+  });
 }
 
 /// Shortest decimal form that ParseDoubleFlag parses back to the identical
@@ -116,156 +163,91 @@ std::string FormatDouble(double value) {
   return std::string(buffer, result.ptr);
 }
 
+/// `flag`'s value in `options`, in the form ParseInto reads back.
+std::string Render(const EngineFlag& flag, const EngineOptions& options) {
+  return VisitField(flag, options, [](const auto& field) -> std::string {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, double>) {
+      return FormatDouble(field);
+    } else if constexpr (std::is_enum_v<T>) {
+      return std::string(NameOf(NamesOf(field), field));
+    } else {
+      return std::to_string(field);
+    }
+  });
+}
+
+/// What `flag`'s usage line names as its value.
+std::string Placeholder(const EngineFlag& flag) {
+  return VisitField(flag, EngineOptions(), [&](const auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, double>) {
+      return std::string("X");
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+      return std::string("SEED");
+    } else if constexpr (std::is_enum_v<T>) {
+      return JoinNames(NamesOf(field));
+    } else {
+      return "N in [" + std::to_string(flag.min) + ", " +
+             std::to_string(flag.max) + "]";
+    }
+  });
+}
+
+const EngineFlag* FindEngineFlag(const std::string& name) {
+  for (const EngineFlag& flag : kEngineFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+std::string EngineFlagsUsage() {
+  std::string usage;
+  for (const EngineFlag& flag : kEngineFlags) {
+    usage += std::string("  --") + flag.name + " " + Placeholder(flag) +
+             " (" + flag.hint + ")\n";
+  }
+  return usage;
+}
 
 Result<EngineOptions> EngineOptions::Parse(
     const std::map<std::string, std::string>& flags,
     const std::vector<std::string>& passthrough) {
-  // The one list of engine flag names; a key outside it (and outside the
-  // caller's declared passthrough) is a typo, not something to silently
-  // ignore.
-  static const std::set<std::string> kRecognized{
-      "epsilon",        "delta",         "alpha",
-      "beta",           "seed",          "transform",
-      "k-override",     "s-override",    "noise",
-      "placement",      "threads",       "serving-threads",
-      "queue-capacity", "tenant-quota",  "tenant-rate",
-      "deadline-ms",    "starvation-age-ms"};
-  for (const auto& entry : flags) {
-    if (kRecognized.count(entry.first) == 0 &&
-        std::find(passthrough.begin(), passthrough.end(), entry.first) ==
-            passthrough.end()) {
-      return Status::InvalidArgument(
-          "unknown flag --" + entry.first +
-          " (not an engine flag; see EngineOptions::Parse for the "
-          "recognized set, or declare caller-specific keys as passthrough)");
-    }
-  }
   EngineOptions options;
-  const auto find = [&flags](const char* key) -> const std::string* {
-    const auto it = flags.find(key);
-    return it == flags.end() ? nullptr : &it->second;
-  };
-  if (const std::string* raw = find("epsilon")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.epsilon,
-                          ParseDoubleFlag("epsilon", *raw));
-  }
-  if (const std::string* raw = find("delta")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.delta, ParseDoubleFlag("delta", *raw));
-  }
-  if (const std::string* raw = find("alpha")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.alpha, ParseDoubleFlag("alpha", *raw));
-  }
-  if (const std::string* raw = find("beta")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.beta, ParseDoubleFlag("beta", *raw));
-  }
-  if (const std::string* raw = find("seed")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.projection_seed,
-                          ParseSeedFlag("seed", *raw));
-  }
-  if (const std::string* raw = find("transform")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.transform, ParseTransformFlag(*raw));
-  }
-  if (const std::string* raw = find("k-override")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.k_override,
-                          ParseIntFlag("k-override", *raw, 0, 1 << 30));
-  }
-  if (const std::string* raw = find("s-override")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.s_override,
-                          ParseIntFlag("s-override", *raw, 0, 1 << 30));
-  }
-  if (const std::string* raw = find("noise")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.noise_selection,
-                          ParseNoiseFlag(*raw));
-  }
-  if (const std::string* raw = find("placement")) {
-    DPJL_ASSIGN_OR_RETURN(options.sketcher.placement, ParsePlacementFlag(*raw));
-  }
-  if (const std::string* raw = find("threads")) {
-    DPJL_ASSIGN_OR_RETURN(const int64_t threads,
-                          ParseIntFlag("threads", *raw, 0, 4096));
-    options.threads = static_cast<int>(threads);
-  }
-  if (const std::string* raw = find("serving-threads")) {
-    DPJL_ASSIGN_OR_RETURN(const int64_t serving,
-                          ParseIntFlag("serving-threads", *raw, 1, 256));
-    options.serving_threads = static_cast<int>(serving);
-  }
-  if (const std::string* raw = find("queue-capacity")) {
-    DPJL_ASSIGN_OR_RETURN(options.queue_capacity,
-                          ParseIntFlag("queue-capacity", *raw, 1, 1 << 20));
-  }
-  if (const std::string* raw = find("tenant-quota")) {
-    DPJL_ASSIGN_OR_RETURN(options.tenant_quota,
-                          ParseIntFlag("tenant-quota", *raw, 0, 1 << 20));
-  }
-  if (const std::string* raw = find("tenant-rate")) {
-    DPJL_ASSIGN_OR_RETURN(options.tenant_rate,
-                          ParseIntFlag("tenant-rate", *raw, 0, 1 << 20));
-  }
-  if (const std::string* raw = find("deadline-ms")) {
-    DPJL_ASSIGN_OR_RETURN(
-        options.default_deadline_ms,
-        ParseIntFlag("deadline-ms", *raw, 0,
-                     std::numeric_limits<int64_t>::max() / 2));
-  }
-  if (const std::string* raw = find("starvation-age-ms")) {
-    DPJL_ASSIGN_OR_RETURN(
-        options.starvation_age_ms,
-        ParseIntFlag("starvation-age-ms", *raw, 0,
-                     std::numeric_limits<int64_t>::max() / 2));
+  for (const auto& [key, raw] : flags) {
+    if (const EngineFlag* flag = FindEngineFlag(key)) {
+      DPJL_RETURN_IF_ERROR(ParseInto(*flag, raw, &options));
+    } else if (std::find(passthrough.begin(), passthrough.end(), key) ==
+               passthrough.end()) {
+      // Outside the flag table and the caller's declared passthrough: a
+      // typo, not something to silently ignore.
+      return Status::InvalidArgument(
+          "unknown flag --" + key +
+          " (not an engine flag; see EngineFlagsUsage() for the recognized "
+          "set, or declare caller-specific keys as passthrough)");
+    }
   }
   DPJL_RETURN_IF_ERROR(options.Validate());
   return options;
 }
 
 std::string EngineOptions::ToString() const {
-  std::ostringstream out;
-  out << "--transform=" << TransformKindName(sketcher.transform)
-      << " --alpha=" << FormatDouble(sketcher.alpha)
-      << " --beta=" << FormatDouble(sketcher.beta)
-      << " --k-override=" << sketcher.k_override
-      << " --s-override=" << sketcher.s_override
-      << " --epsilon=" << FormatDouble(sketcher.epsilon)
-      << " --delta=" << FormatDouble(sketcher.delta)
-      << " --noise=" << NoiseFlagName(sketcher.noise_selection)
-      << " --placement=" << PlacementFlagName(sketcher.placement)
-      << " --seed=" << sketcher.projection_seed << " --threads=" << threads
-      << " --serving-threads=" << serving_threads
-      << " --queue-capacity=" << queue_capacity
-      << " --tenant-quota=" << tenant_quota
-      << " --tenant-rate=" << tenant_rate
-      << " --deadline-ms=" << default_deadline_ms
-      << " --starvation-age-ms=" << starvation_age_ms;
-  return out.str();
+  std::string out;
+  for (const EngineFlag& flag : kEngineFlags) {
+    if (!out.empty()) out += ' ';
+    out += std::string("--") + flag.name + "=" + Render(flag, *this);
+  }
+  return out;
 }
 
 Status EngineOptions::Validate() const {
-  if (threads < 0 || threads > 4096) {
-    return Status::InvalidArgument(
-        "threads must lie in [0, 4096] (0 = all hardware cores)");
-  }
-  if (serving_threads < 1 || serving_threads > 256) {
-    return Status::InvalidArgument("serving-threads must lie in [1, 256]");
-  }
-  if (queue_capacity < 1) {
-    return Status::InvalidArgument("queue-capacity must be at least 1");
-  }
-  if (tenant_quota < 0) {
-    return Status::InvalidArgument(
-        "tenant-quota must be non-negative (0 = unlimited)");
-  }
-  if (tenant_rate < 0 || tenant_rate > (int64_t{1} << 20)) {
-    return Status::InvalidArgument(
-        "tenant-rate must lie in [0, 2^20] requests/s (0 = unmetered)");
-  }
-  if (default_deadline_ms < 0) {
-    return Status::InvalidArgument(
-        "deadline-ms must be non-negative (0 = no deadline)");
-  }
-  if (starvation_age_ms < 0) {
-    return Status::InvalidArgument(
-        "starvation-age-ms must be non-negative (0 = strict priority)");
+  // Valid means: every field renders to a value its flag parses back, so
+  // Validate and Parse share each domain and its message.
+  EngineOptions reparsed;
+  for (const EngineFlag& flag : kEngineFlags) {
+    DPJL_RETURN_IF_ERROR(ParseInto(flag, Render(flag, *this), &reparsed));
   }
   return Status::OK();
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>  // std::once_flag; mutexes themselves are the annotated wrappers
@@ -29,8 +28,8 @@ namespace dpjl {
 /// the threading layout, and the serving policy. This is the one
 /// config path shared by dpjl_tool, the examples and the tests — `Parse`
 /// consumes the CLI's `--key value` flag map and `ToString` emits the
-/// canonical flag form, so there is exactly one place flag names and
-/// domains are defined.
+/// canonical flag form. All four of Parse, ToString, Validate and
+/// EngineFlagsUsage() walk one flag table, where flag names and domains live.
 struct EngineOptions {
   /// Sketch construction (projection family, quality, privacy budget,
   /// public projection seed).
@@ -72,16 +71,12 @@ struct EngineOptions {
   /// sustained interactive load starves the lower lanes indefinitely.
   int64_t starvation_age_ms = 0;
 
-  /// Parses the recognized keys out of a `--key value` flag map (the form
-  /// dpjl_tool already builds): epsilon, delta, alpha, beta, seed,
-  /// transform, k-override, s-override, noise, placement, threads,
-  /// serving-threads, queue-capacity, tenant-quota, tenant-rate,
-  /// deadline-ms, starvation-age-ms. A key
-  /// that is neither recognized nor listed in `passthrough` is an error
-  /// (catching typos like --epsilno); callers that keep their own flags in
-  /// the same map (e.g. dpjl_tool's --input) declare them via
-  /// `passthrough`. Recognized keys with malformed or out-of-domain
-  /// values are errors.
+  /// Parses the engine flags out of a `--key value` flag map (the form
+  /// dpjl_tool already builds). A key that is neither an engine flag
+  /// nor listed in `passthrough` is an error (catching typos like
+  /// --epsilno); callers that keep their own flags in the same map (e.g.
+  /// dpjl_tool's --input) declare them via `passthrough`. Engine flags
+  /// with malformed or out-of-domain values are errors.
   static Result<EngineOptions> Parse(
       const std::map<std::string, std::string>& flags,
       const std::vector<std::string>& passthrough = {});
@@ -90,10 +85,15 @@ struct EngineOptions {
   /// back through Parse reproduces the options.
   std::string ToString() const;
 
-  /// Domain check for the non-sketcher fields (the sketcher config is
-  /// validated by PrivateSketcher::Create).
+  /// Checks that every field lies in the domain its flag parses (integers
+  /// in their [min, max], finite doubles, named enum values), with Parse's
+  /// message; PrivateSketcher::Create checks the sketcher's doubles further.
   Status Validate() const;
 };
+
+/// One usage line per engine flag, "  --<name> <value> (<hint>)\n", where
+/// <value> is N in [min, max], X, SEED or the enum's names.
+std::string EngineFlagsUsage();
 
 /// The strict value parsers behind EngineOptions::Parse, shared with the
 /// CLI's own numeric flags so every flag fails the same way. Each accepts

@@ -12,15 +12,7 @@ constexpr std::string_view kMagic = "DPJLSK01";
 }  // namespace
 
 std::string PlacementFlagName(NoisePlacement placement) {
-  switch (placement) {
-    case NoisePlacement::kOutput:
-      return "output";
-    case NoisePlacement::kInput:
-      return "input";
-    case NoisePlacement::kPostHadamard:
-      return "post-hadamard";
-  }
-  return "output";
+  return std::string(NameOf(kPlacementNames, placement));
 }
 
 bool SketchMetadata::CompatibleWith(const SketchMetadata& other) const {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/enum_names.h"
 #include "src/common/result.h"
 #include "src/dp/noise_distribution.h"
 #include "src/dp/privacy_params.h"
@@ -30,8 +31,14 @@ enum class NoisePlacement {
   kPostHadamard,
 };
 
-/// The placement's `--placement` flag spelling ("output", "input",
-/// "post-hadamard"); also how sketch descriptions and `inspect` name it.
+/// The `--placement` spelling of each placement; also how sketch
+/// descriptions and `inspect` name it.
+inline constexpr EnumName<NoisePlacement> kPlacementNames[] = {
+    {NoisePlacement::kOutput, "output"},
+    {NoisePlacement::kInput, "input"},
+    {NoisePlacement::kPostHadamard, "post-hadamard"},
+};
+
 std::string PlacementFlagName(NoisePlacement placement);
 
 /// Everything a receiving party needs to interpret a sketch, embedded in

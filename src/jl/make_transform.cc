@@ -11,21 +11,7 @@
 namespace dpjl {
 
 std::string TransformKindName(TransformKind kind) {
-  switch (kind) {
-    case TransformKind::kGaussianIid:
-      return "gaussian-iid";
-    case TransformKind::kFjlt:
-      return "fjlt";
-    case TransformKind::kSjltBlock:
-      return "sjlt-block";
-    case TransformKind::kSjltGraph:
-      return "sjlt-graph";
-    case TransformKind::kAchlioptas:
-      return "achlioptas";
-    case TransformKind::kSparseUniform:
-      return "sparse-uniform";
-  }
-  return "unknown";
+  return std::string(NameOf(kTransformKindNames, kind));
 }
 
 Result<std::unique_ptr<LinearTransform>> MakeTransform(TransformKind kind,

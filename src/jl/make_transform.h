@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/enum_names.h"
 #include "src/common/result.h"
 #include "src/jl/transform.h"
 
@@ -17,6 +18,19 @@ enum class TransformKind {
   kSjltGraph,      // Kane–Nelson construction (b)
   kAchlioptas,     // database-friendly ±1
   kSparseUniform,  // with-replacement sparse JL (ablation baseline, §2.1)
+};
+
+/// The `--transform` spelling of each kind; "sjlt" and "gaussian" are
+/// short aliases that only parse.
+inline constexpr EnumName<TransformKind> kTransformKindNames[] = {
+    {TransformKind::kGaussianIid, "gaussian-iid"},
+    {TransformKind::kFjlt, "fjlt"},
+    {TransformKind::kSjltBlock, "sjlt-block"},
+    {TransformKind::kSjltGraph, "sjlt-graph"},
+    {TransformKind::kAchlioptas, "achlioptas"},
+    {TransformKind::kSparseUniform, "sparse-uniform"},
+    {TransformKind::kSjltBlock, "sjlt"},
+    {TransformKind::kGaussianIid, "gaussian"},
 };
 
 std::string TransformKindName(TransformKind kind);

@@ -156,15 +156,7 @@ const KernelOps kScalarKernels = {
 
 namespace {
 
-/// True when `value` is a set environment flag other than "" or "0".
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
 const KernelOps* Detect() {
-  if (EnvFlagSet("DPJL_FORCE_SCALAR")) return &internal::kScalarKernels;
   if (const char* pick = std::getenv("DPJL_KERNELS")) {
     if (const KernelOps* table = KernelsByName(pick)) return table;
     // Unknown or unsupported name: fall through to auto-detection rather

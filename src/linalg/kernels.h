@@ -95,10 +95,9 @@ struct KernelOps {
 };
 
 /// The table every hot path dispatches through, selected once on first use:
-///   1. DPJL_FORCE_SCALAR set to anything but "" or "0" -> scalar;
-///   2. DPJL_KERNELS=scalar|avx2|avx512 -> that table when this build and
+///   1. DPJL_KERNELS=scalar|avx2|avx512 -> that table when this build and
 ///      CPU support it (silently falls through to auto-detection otherwise);
-///   3. otherwise the best set CPUID reports: avx512 > avx2 > scalar.
+///   2. otherwise the best set CPUID reports: avx512 > avx2 > scalar.
 /// The selection is immutable afterwards (concurrent readers are safe).
 const KernelOps& Kernels();
 

@@ -5,6 +5,9 @@
 namespace dpjl {
 namespace net {
 
+// Idle connections kept for reuse; beyond it, returned ones are closed.
+constexpr size_t kMaxPooledConnections = 4;
+
 Client::Client(std::string host, int port, ClientOptions options)
     : host_(std::move(host)), port_(port), options_(options) {}
 
@@ -23,7 +26,7 @@ Result<Socket> Client::BorrowConnection(bool* pooled) {
 
 void Client::ReturnConnection(Socket connection) {
   MutexLock lock(mutex_);
-  if (static_cast<int64_t>(pool_.size()) < options_.max_pooled_connections) {
+  if (pool_.size() < kMaxPooledConnections) {
     pool_.push_back(std::move(connection));
   }
   // else: connection destructs (closes) here — the pool is full.

@@ -25,9 +25,6 @@ struct ClientOptions {
   /// takes precedence — the same budget bounds the server-side queue wait
   /// and the client-side socket wait.
   int64_t call_timeout_ms = 5000;
-  /// Idle connections kept for reuse; beyond it, returned connections are
-  /// closed.
-  int64_t max_pooled_connections = 4;
 };
 
 /// Typed RPC client for one serving endpoint, with connection pooling and

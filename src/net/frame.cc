@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/bytes.h"
+#include "src/common/enum_names.h"
 #include "src/core/snapshot.h"
 #include "src/net/socket.h"
 
@@ -73,41 +74,25 @@ Result<FixedHeader> DecodeFixedHeader(std::string_view bytes) {
 }  // namespace
 
 std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kNearestNeighborsRequest:
-      return "nearest-neighbors-request";
-    case MessageType::kRangeQueryRequest:
-      return "range-query-request";
-    case MessageType::kSquaredDistanceRequest:
-      return "squared-distance-request";
-    case MessageType::kBatchQueryRequest:
-      return "batch-query-request";
-    case MessageType::kInsertRequest:
-      return "insert-request";
-    case MessageType::kStatsRequest:
-      return "stats-request";
-    case MessageType::kGetSketchRequest:
-      return "get-sketch-request";
-    case MessageType::kPingRequest:
-      return "ping-request";
-    case MessageType::kNeighborsResponse:
-      return "neighbors-response";
-    case MessageType::kDistanceResponse:
-      return "distance-response";
-    case MessageType::kBatchNeighborsResponse:
-      return "batch-neighbors-response";
-    case MessageType::kAckResponse:
-      return "ack-response";
-    case MessageType::kStatsResponse:
-      return "stats-response";
-    case MessageType::kSketchResponse:
-      return "sketch-response";
-    case MessageType::kErrorResponse:
-      return "error-response";
-    case MessageType::kPingResponse:
-      return "ping-response";
-  }
-  return "unknown";
+  static constexpr EnumName<MessageType> kNames[] = {
+      {MessageType::kNearestNeighborsRequest, "nearest-neighbors-request"},
+      {MessageType::kRangeQueryRequest, "range-query-request"},
+      {MessageType::kSquaredDistanceRequest, "squared-distance-request"},
+      {MessageType::kBatchQueryRequest, "batch-query-request"},
+      {MessageType::kInsertRequest, "insert-request"},
+      {MessageType::kStatsRequest, "stats-request"},
+      {MessageType::kGetSketchRequest, "get-sketch-request"},
+      {MessageType::kPingRequest, "ping-request"},
+      {MessageType::kNeighborsResponse, "neighbors-response"},
+      {MessageType::kDistanceResponse, "distance-response"},
+      {MessageType::kBatchNeighborsResponse, "batch-neighbors-response"},
+      {MessageType::kAckResponse, "ack-response"},
+      {MessageType::kStatsResponse, "stats-response"},
+      {MessageType::kSketchResponse, "sketch-response"},
+      {MessageType::kErrorResponse, "error-response"},
+      {MessageType::kPingResponse, "ping-response"},
+  };
+  return NameOf(kNames, type);
 }
 
 Result<MessageType> MessageTypeFromInt(uint32_t value) {

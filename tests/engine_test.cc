@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -489,6 +491,21 @@ TEST(RequestQueueTest, CancelQueuedRequestResolvesCancelledWithoutServing) {
 // ---------------------------------------------------------------------------
 // EngineOptions: the one config path
 
+// The flag map of a canonical "--key=value ..." rendering.
+std::map<std::string, std::string> FlagsOf(const std::string& rendered) {
+  std::map<std::string, std::string> flags;
+  std::istringstream stream(rendered);
+  std::string token;
+  while (stream >> token) {
+    EXPECT_EQ(token.rfind("--", 0), 0u) << token;
+    const size_t eq = token.find('=');
+    EXPECT_NE(eq, std::string::npos) << token;
+    if (eq == std::string::npos) continue;
+    flags[token.substr(2, eq - 2)] = token.substr(eq + 1);
+  }
+  return flags;
+}
+
 TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
   const std::map<std::string, std::string> flags = {
       {"epsilon", "4.5"},        {"delta", "1e-6"},
@@ -615,16 +632,7 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   options.starvation_age_ms = 250;
 
   // Re-read the canonical "--key=value ..." rendering through a flag map.
-  std::map<std::string, std::string> flags;
-  std::istringstream stream(options.ToString());
-  std::string token;
-  while (stream >> token) {
-    ASSERT_EQ(token.rfind("--", 0), 0u) << token;
-    const size_t eq = token.find('=');
-    ASSERT_NE(eq, std::string::npos) << token;
-    flags[token.substr(2, eq - 2)] = token.substr(eq + 1);
-  }
-  const auto parsed = EngineOptions::Parse(flags);
+  const auto parsed = EngineOptions::Parse(FlagsOf(options.ToString()));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->sketcher.transform, options.sketcher.transform);
   EXPECT_DOUBLE_EQ(parsed->sketcher.alpha, options.sketcher.alpha);
@@ -643,6 +651,143 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   EXPECT_EQ(parsed->tenant_rate, options.tenant_rate);
   EXPECT_EQ(parsed->default_deadline_ms, options.default_deadline_ms);
   EXPECT_EQ(parsed->starvation_age_ms, options.starvation_age_ms);
+}
+
+TEST(EngineOptionsTest, DefaultsRenderTheCanonicalFlagLine) {
+  EXPECT_EQ(EngineOptions().ToString(),
+            "--transform=sjlt-block --alpha=0.1 --beta=0.05 --k-override=0 "
+            "--s-override=0 --epsilon=1 --delta=0 --noise=auto "
+            "--placement=output --seed=14507757 --threads=1 "
+            "--serving-threads=2 --queue-capacity=256 --tenant-quota=0 "
+            "--tenant-rate=0 --deadline-ms=0 --starvation-age-ms=0");
+}
+
+TEST(EngineOptionsTest, ValidateAndParseShareEachIntegerFlagsDomain) {
+  constexpr int64_t kMs = std::numeric_limits<int64_t>::max() / 2;
+  struct IntegerFlag {
+    const char* name;
+    int64_t min;
+    int64_t max;
+    void (*set)(EngineOptions*, int64_t);
+  };
+  const IntegerFlag integer_flags[] = {
+      {"k-override", 0, int64_t{1} << 30,
+       [](EngineOptions* o, int64_t v) { o->sketcher.k_override = v; }},
+      {"s-override", 0, int64_t{1} << 30,
+       [](EngineOptions* o, int64_t v) { o->sketcher.s_override = v; }},
+      {"threads", 0, 4096,
+       [](EngineOptions* o, int64_t v) { o->threads = static_cast<int>(v); }},
+      {"serving-threads", 1, 256,
+       [](EngineOptions* o, int64_t v) {
+         o->serving_threads = static_cast<int>(v);
+       }},
+      {"queue-capacity", 1, int64_t{1} << 20,
+       [](EngineOptions* o, int64_t v) { o->queue_capacity = v; }},
+      {"tenant-quota", 0, int64_t{1} << 20,
+       [](EngineOptions* o, int64_t v) { o->tenant_quota = v; }},
+      {"tenant-rate", 0, int64_t{1} << 20,
+       [](EngineOptions* o, int64_t v) { o->tenant_rate = v; }},
+      {"deadline-ms", 0, kMs,
+       [](EngineOptions* o, int64_t v) { o->default_deadline_ms = v; }},
+      {"starvation-age-ms", 0, kMs,
+       [](EngineOptions* o, int64_t v) { o->starvation_age_ms = v; }},
+  };
+  for (const IntegerFlag& flag : integer_flags) {
+    for (const int64_t edge : {flag.min, flag.max}) {
+      SCOPED_TRACE(std::string(flag.name) + "=" + std::to_string(edge));
+      EngineOptions options;
+      flag.set(&options, edge);
+      EXPECT_TRUE(options.Validate().ok()) << options.Validate();
+      const auto parsed = EngineOptions::Parse(FlagsOf(options.ToString()));
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      EXPECT_EQ(parsed->ToString(), options.ToString());
+      EXPECT_NE(options.ToString().find(std::string("--") + flag.name + "=" +
+                                        std::to_string(edge)),
+                std::string::npos);
+    }
+    for (const int64_t outside : {flag.min - 1, flag.max + 1}) {
+      SCOPED_TRACE(std::string(flag.name) + "=" + std::to_string(outside));
+      EngineOptions options;
+      flag.set(&options, outside);
+      EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+      const auto parsed =
+          EngineOptions::Parse({{flag.name, std::to_string(outside)}});
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(EngineOptionsTest, EveryEnumValueParsesBackFromItsName) {
+  for (const TransformKind kind :
+       {TransformKind::kGaussianIid, TransformKind::kFjlt,
+        TransformKind::kSjltBlock, TransformKind::kSjltGraph,
+        TransformKind::kAchlioptas, TransformKind::kSparseUniform}) {
+    const auto parsed =
+        EngineOptions::Parse({{"transform", TransformKindName(kind)}});
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->sketcher.transform, kind) << TransformKindName(kind);
+  }
+  // The short aliases parse to their kinds but never render.
+  EXPECT_EQ(EngineOptions::Parse({{"transform", "sjlt"}})->sketcher.transform,
+            TransformKind::kSjltBlock);
+  EXPECT_EQ(
+      EngineOptions::Parse({{"transform", "gaussian"}})->sketcher.transform,
+      TransformKind::kGaussianIid);
+
+  for (const auto noise : {SketcherConfig::NoiseSelection::kAuto,
+                           SketcherConfig::NoiseSelection::kLaplace,
+                           SketcherConfig::NoiseSelection::kGaussian,
+                           SketcherConfig::NoiseSelection::kNone}) {
+    EngineOptions options;
+    options.sketcher.noise_selection = noise;
+    const auto parsed = EngineOptions::Parse(FlagsOf(options.ToString()));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->sketcher.noise_selection, noise) << options.ToString();
+  }
+
+  for (const NoisePlacement placement :
+       {NoisePlacement::kOutput, NoisePlacement::kInput,
+        NoisePlacement::kPostHadamard}) {
+    const auto parsed =
+        EngineOptions::Parse({{"placement", PlacementFlagName(placement)}});
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->sketcher.placement, placement);
+  }
+
+  for (int lane = 0; lane < kNumPriorityLanes; ++lane) {
+    const Priority priority = static_cast<Priority>(lane);
+    const auto parsed = ParsePriority(std::string(PriorityName(priority)));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(*parsed, priority);
+  }
+
+  // An unknown name is refused with the full list it could have been.
+  const auto noise = EngineOptions::Parse({{"noise", "cauchy"}});
+  EXPECT_EQ(noise.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(noise.status().message().find("auto|laplace|gaussian|none"),
+            std::string::npos)
+      << noise.status();
+  const auto priority = ParsePriority("urgent");
+  EXPECT_EQ(priority.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(priority.status().message().find("interactive|batch|best-effort"),
+            std::string::npos)
+      << priority.status();
+}
+
+TEST(EngineOptionsTest, UsageNamesEveryEngineFlag) {
+  const std::string usage = EngineFlagsUsage();
+  const char* const names[] = {
+      "epsilon",        "delta",        "alpha",       "beta",
+      "seed",           "transform",    "k-override",  "s-override",
+      "noise",          "placement",    "threads",     "serving-threads",
+      "queue-capacity", "tenant-quota", "tenant-rate", "deadline-ms",
+      "starvation-age-ms"};
+  for (const char* name : names) {
+    EXPECT_NE(usage.find(std::string("  --") + name + " "), std::string::npos)
+        << name << " missing from:\n" << usage;
+  }
+  EXPECT_EQ(std::count(usage.begin(), usage.end(), '\n'),
+            static_cast<std::ptrdiff_t>(std::size(names)));
 }
 
 // ---------------------------------------------------------------------------

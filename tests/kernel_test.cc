@@ -126,12 +126,9 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
 
 TEST(KernelDispatchTest, EnvironmentPinsTheDispatchedTable) {
   // The *_forced_scalar and *_avx2 ctest entries re-run this binary with
-  // DPJL_FORCE_SCALAR=1 or DPJL_KERNELS=avx2; dispatch must honour them.
-  const char* force = std::getenv("DPJL_FORCE_SCALAR");
+  // DPJL_KERNELS=scalar or DPJL_KERNELS=avx2; dispatch must honour them.
   const char* pick = std::getenv("DPJL_KERNELS");
-  if (force != nullptr && force[0] != '\0' && std::string(force) != "0") {
-    EXPECT_STREQ(Kernels().name, "scalar");
-  } else if (pick != nullptr && KernelsByName(pick) != nullptr) {
+  if (pick != nullptr && KernelsByName(pick) != nullptr) {
     EXPECT_STREQ(Kernels().name, pick);
   } else {
     EXPECT_NE(Kernels().name, nullptr);  // auto-detected; nothing pinned

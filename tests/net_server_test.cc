@@ -9,12 +9,14 @@
 
 #include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -251,8 +253,7 @@ TEST(ServerTest, DeadPortIsUnavailable) {
   served.server->Stop();  // idempotent
 
   Client client("127.0.0.1", port, ClientOptions{/*connect_timeout_ms=*/500,
-                                                 /*call_timeout_ms=*/500,
-                                                 /*max_pooled_connections=*/4});
+                                                 /*call_timeout_ms=*/500});
   const Status ping = client.Ping();
   ASSERT_FALSE(ping.ok());
   EXPECT_EQ(ping.code(), StatusCode::kUnavailable) << ping;
@@ -376,6 +377,37 @@ int64_t OpenFdCount() {
                        std::filesystem::directory_iterator());
 }
 
+/// Threads this process runs right now.
+int64_t ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+/// True when a thread of this process is blocked in accept(), which holds
+/// the descriptor the kernel reserves on entry for the connection it will
+/// return.
+bool SomeThreadBlockedInAccept() {
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream syscall(task.path() / "syscall");
+    long number = -1;
+    if (syscall >> number && (number == SYS_accept || number == SYS_accept4)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Polls `done` until it holds, for at most 5 s.
+template <typename Condition>
+void WaitUpTo5s(Condition done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 /// Lowers the soft RLIMIT_NOFILE for a scope, restoring it on exit.
 class FdLimit {
  public:
@@ -448,6 +480,7 @@ TEST(ServerTest, ConnectionChurnAndFdExhaustionNeverLeaveTheServerDeaf) {
   const int port = served.server->port();
   const int64_t limit = OpenFdCount() + 8;
   const FdLimit lowered(static_cast<rlim_t>(limit));
+  const int64_t threads_before_churn = ThreadCount();
 
   // Every finished connection is reaped, so 4x the fd limit in sequential
   // connect/ping/close cycles never runs the process out of descriptors.
@@ -461,15 +494,18 @@ TEST(ServerTest, ConnectionChurnAndFdExhaustionNeverLeaveTheServerDeaf) {
   }
 
   // Out of descriptors. A blocked accept() already holds a reserved fd, so
-  // first `live` makes the server reap the last churned connection (given
-  // a moment to see its peer's close); then, with every other slot taken,
-  // its accept() after `last` finds no free fd (EMFILE). It must keep
-  // accepting once descriptors are free again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // first `live` makes the server reap the churned connections (once every
+  // reader has seen its peer's close and exited, i.e. the thread count is
+  // back to its pre-churn value); then, with every other slot taken and
+  // the acceptor back in accept() for `last`, its accept() after `last`
+  // finds no free fd (EMFILE). It must keep accepting once descriptors
+  // are free again.
+  WaitUpTo5s([&] { return ThreadCount() <= threads_before_churn; });
   auto live = ConnectTo(host, port, 2000);
   ASSERT_TRUE(live.ok()) << live.status();
   ASSERT_TRUE(SetRecvTimeout(*live, 5000).ok());
   ASSERT_TRUE(PingOver(*live).ok());
+  WaitUpTo5s(SomeThreadBlockedInAccept);
   std::vector<int> hogs;
   for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0;
        fd = ::open("/dev/null", O_RDONLY)) {

@@ -52,7 +52,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -1097,18 +1096,11 @@ void Usage(std::ostream& out) {
   out << "usage:\n";
   for (const Command& command : kCommands) out << command.usage;
   out << "engine flags (one shared config path, see EngineOptions::Parse):\n"
-         "  sketcher: --epsilon E --delta D --alpha A --beta B --seed S\n"
-         "            --transform sjlt|sjlt-graph|fjlt|gaussian|achlioptas|\n"
-         "            sparse-uniform --k-override K --s-override S\n"
-         "            --noise auto|laplace|gaussian|none\n"
-         "            --placement output|input|post-hadamard\n"
-         "  serving:  --threads T (0 = all cores) --serving-threads T\n"
-         "            --queue-capacity N\n"
-         "            --tenant-quota N (0 = unlimited) --deadline-ms MS\n"
-         "            --tenant-rate N (admitted requests/s per tenant,\n"
-         "            token bucket, 0 = unmetered)\n"
-         "request flags (per-submission scheduling, see RequestOptions):\n"
-         "  --priority interactive|batch|best-effort --tenant NAME\n"
+      << EngineFlagsUsage()
+      << "request flags (per-submission scheduling, see RequestOptions):\n"
+         "  --priority "
+      << JoinNames(kPriorityNames)
+      << " --tenant NAME\n"
          "  --deadline-ms MS (client/route: also bounds the socket wait)\n"
          "observability: --stats-interval-ms N on query/sketch-batch dumps\n"
          "  periodic EngineStats deltas (rates) to stderr while running\n"
@@ -1187,13 +1179,12 @@ Result<Flags> MakeFlags(const Command& command,
     }
     flags.request.tenant = flags.Get("tenant");
     // A remote call's --deadline-ms also bounds the client's socket wait
-    // (one budget, both sides of the wire).
+    // (one budget, both sides of the wire); it parses as the engine flag.
     if (const auto it = flags.values.find("deadline-ms");
         !command.engine_flags && it != flags.values.end()) {
-      DPJL_ASSIGN_OR_RETURN(
-          flags.request.deadline_ms,
-          ParseIntFlag("deadline-ms", it->second, 0,
-                       std::numeric_limits<int64_t>::max() / 2));
+      DPJL_ASSIGN_OR_RETURN(const EngineOptions parsed,
+                            EngineOptions::Parse({*it}));
+      flags.request.deadline_ms = parsed.default_deadline_ms;
     }
   }
   if (command.secret != nullptr && flags.values.count(command.secret) > 0) {
